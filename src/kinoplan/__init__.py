@@ -15,7 +15,8 @@ from .lattice import (ControlSet, InvalidDimsError, LatticeKey,
                       make_control_set, propagate)
 from .lti import (BoundaryPair, LqmtSolution, NoFiniteMinimumError,
                   SingularGramianError, State, effort_between, gramian,
-                  lqmt_fixed_time, lqmt_optimal_time, state_transition)
+                  lqmt_fixed_time, lqmt_optimal_cost, lqmt_optimal_time,
+                  state_transition)
 from .polyalg import (Interval, Poly1, ZeroPolynomialError, extrema_on,
                       integral_of_square, real_roots)
 from .refine import (NotSolvedError, RefineSpec, SingularKktError,

@@ -39,9 +39,12 @@ def _parse_floats(text: str, counts: tuple[int, ...], what: str) -> list[float]:
         raise UsageError(f"{what} needs {' or '.join(map(str, counts))} "
                          f"comma-separated numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"{what}: numbers must be finite")
+    return vals
 
 
 def _parse_state(text: str, order: int) -> State:
@@ -58,6 +61,14 @@ def _require(args, names: list[str]) -> None:
     missing = [n for n in names if getattr(args, n.strip("-").replace("-", "_")) is None]
     if missing:
         raise UsageError("missing required flags: " + " ".join(missing))
+
+
+def _require_positive(args, names: list[str]) -> None:
+    """Reject given flags whose value is not a positive number."""
+    for name in names:
+        val = getattr(args, name.strip("-"))
+        if val is not None and not val > 0.0:
+            raise UsageError(f"{name} must be positive, got {val}")
 
 
 def _planner_config(args, grid: OccupancyGrid, heuristic: Heuristic,
@@ -109,6 +120,7 @@ def _post_check(traj: SplineTrajectory, grid: OccupancyGrid,
 def cmd_plan(args) -> int:
     _require(args, ["--map", "--start", "--goal", "--order", "--tau", "--rho",
                     "--umax", "--mu", "--vmax"])
+    _require_positive(args, ["--vmax", "--amax", "--dt"])
     grid = load_grid(args.map)
     start = _parse_state(args.start, args.order)
     goal = GoalSpec(tuple(_parse_floats(args.goal, (3,), "--goal")))
@@ -177,6 +189,7 @@ def _aggregate(label: str, runs: list[PlanResult]) -> str:
 def cmd_bench(args) -> int:
     _require(args, ["--maps", "--cases", "--order", "--tau", "--rho",
                     "--umax", "--mu", "--vmax"])
+    _require_positive(args, ["--vmax", "--amax"])
     cases = _load_cases(args.cases)
     order = ("zero", "maxspeed", "lqmt")
     results: dict[str, list[PlanResult]] = {name: [] for name in order}

@@ -22,7 +22,7 @@ from enum import IntEnum
 
 from .lattice import MotionPrimitive
 from .lti import Vec3
-from .polyalg import Interval, extrema_on
+from .polyalg import Interval, Poly1, extrema_on
 
 
 class CellState(IntEnum):
@@ -87,16 +87,38 @@ class OccupancyGrid:
         return self.value(ix, iy, iz)
 
     def is_free_at(self, p, unknown_is_free: bool = False) -> bool:
-        v = self.value_at(p)
-        if v == CellState.FREE:
-            return True
-        return unknown_is_free and v == CellState.UNKNOWN
+        return self.free_along(p, _AT_POINT, unknown_is_free)
 
-    def cell_center(self, ix: int, iy: int, iz: int) -> Vec3:
+    def free_along(self, p0, offsets, unknown_is_free: bool = False) -> bool:
+        """True iff every point p0 + d, d in offsets, lies in a free cell.
+
+        Unknown cells count as free only when unknown_is_free; cells outside
+        the stored box are occupied.
+        """
         r = self.resolution
-        o = self.origin
-        return (o[0] + (ix + 0.5) * r, o[1] + (iy + 0.5) * r,
-                o[2] + (iz + 0.5) * r)
+        ox, oy, oz = self.origin
+        nx, ny, nz = self.dims
+        cells = self.cells
+        free = _FREE_OR_UNKNOWN if unknown_is_free else _FREE_ONLY
+        px, py, pz = p0
+        floor = math.floor
+        for dx, dy, dz in offsets:
+            ix = floor((px + dx - ox) / r)
+            iy = floor((py + dy - oy) / r)
+            iz = floor((pz + dz - oz) / r)
+            if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
+                return False
+            if cells[ix + nx * (iy + ny * iz)] not in free:
+                return False
+        return True
+
+
+# Cell values free_along accepts, as plain ints for a fast membership test.
+_FREE_ONLY = (int(CellState.FREE),)
+_FREE_OR_UNKNOWN = (int(CellState.FREE), int(CellState.UNKNOWN))
+
+# Adding a zero offset leaves a point's cell unchanged.
+_AT_POINT = ((0.0, 0.0, 0.0),)
 
 
 def loads_grid(text: str) -> OccupancyGrid:
@@ -159,11 +181,14 @@ def dumps_grid(grid: OccupancyGrid) -> str:
            f"dims {nx} {ny} {nz}",
            f"resolution {grid.resolution!r}",
            "origin {!r} {!r} {!r}".format(*grid.origin)]
-    for iz in range(nz):
-        for iy in range(ny):
-            base = nx * (iy + ny * iz)
-            out.append("".join(str(c) for c in grid.cells[base:base + nx]))
+    # Cells are stored x fastest, then y, then z: one row per nx cells.
+    digits = grid.cells.translate(_CELL_DIGITS).decode("ascii")
+    out.extend(digits[i:i + nx] for i in range(0, len(digits), nx))
     return "\n".join(out) + "\n"
+
+
+# Cell value to its digit in the text format.
+_CELL_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"012")
 
 
 def load_grid(path: str) -> OccupancyGrid:
@@ -207,23 +232,36 @@ def check_dynamics(prim: MotionPrimitive, bounds: DynBounds) -> bool:
     return True
 
 
-def check_collision(prim: MotionPrimitive, grid: OccupancyGrid, v_max: float,
-                    unknown_is_free: bool = False) -> bool:
-    """True iff the sampled primitive path stays in free cells.
+def sample_offsets(prim: MotionPrimitive, v_max: float,
+                   resolution: float) -> tuple[Vec3, ...]:
+    """Displacements from the primitive's start to its collision samples.
 
     The sample count I = ceil(tau * v_max / R) caps the gap between
     consecutive samples at one cell size R, so no cell of the swept path can
     be skipped while the speed bound holds. Samples run from t = 0 to
-    t = tau inclusive.
+    t = tau inclusive. Each displacement is Horner's scheme on the position
+    polynomial without its constant term, times t, so adding the constant
+    term repeats Horner's last step and gives the sample bit for bit. The
+    displacements depend only on the start's higher derivatives and u.
     """
     if not v_max > 0.0:
         raise ValueError("v_max must be positive to bound the sample spacing")
     tau = prim.tau
-    steps = max(1, math.ceil(tau * v_max / grid.resolution))
-    px, py, pz = prim.axis_polys
+    steps = max(1, math.ceil(tau * v_max / resolution))
+    tails = [Poly1(p.coeffs[1:]) for p in prim.axis_polys]
+    out = []
     for i in range(steps + 1):
         t = tau if i == steps else tau * i / steps
-        p = (px.eval(t), py.eval(t), pz.eval(t))
-        if not grid.is_free_at(p, unknown_is_free):
-            return False
-    return True
+        out.append(tuple(tail.eval(t) * t for tail in tails))
+    return tuple(out)
+
+
+def check_collision(prim: MotionPrimitive, grid: OccupancyGrid, v_max: float,
+                    unknown_is_free: bool = False) -> bool:
+    """True iff the sampled primitive path stays in free cells.
+
+    The samples are those of sample_offsets.
+    """
+    p0 = tuple(p.coeffs[0] for p in prim.axis_polys)
+    return grid.free_along(p0, sample_offsets(prim, v_max, grid.resolution),
+                           unknown_is_free)

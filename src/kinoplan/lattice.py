@@ -59,36 +59,78 @@ def make_control_set(u_max: float, mu: int, dims: int = 3) -> ControlSet:
 
 
 class MotionPrimitive(NamedTuple):
-    """One lattice edge: constant control u held for duration tau."""
+    """One lattice edge: constant control u held for duration tau.
+
+    The position polynomials are derived from x0 and u on access rather
+    than stored, so a plan holds four fields per edge.
+    """
 
     x0: State
     u: Vec3
     tau: float
-    axis_polys: tuple[Poly1, Poly1, Poly1]
     cost: float
 
-    def state_at(self, t: float) -> State:
+    @property
+    def axis_polys(self) -> tuple[Poly1, Poly1, Poly1]:
+        """Position polynomial per axis: the Taylor expansion of the chain
+        of integrators, degree n, with coefficient n being u / n!."""
         n = self.x0.order
-        derivs = []
+        inv_nf = 1.0 / math.factorial(n)
+        polys = []
+        for ax in range(3):
+            coeffs = [self.x0.derivs[j][ax] / math.factorial(j)
+                      for j in range(n)]
+            coeffs.append(self.u[ax] * inv_nf)
+            polys.append(Poly1(tuple(coeffs)))
+        return (polys[0], polys[1], polys[2])
+
+    def state_at(self, t: float) -> State:
+        return fold_state(self.x0, self.state_terms(t))
+
+    def state_terms(self, t: float) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """Per derivative order i and axis, the addends of state_at(t).
+
+        Derivative i at t is u t**(n-i)/(n-i)! plus x0's own derivative i
+        plus x0's higher derivatives j times t**(j-i)/(j-i)!, added in that
+        order; fold_state(x0, terms) repeats the sums. The terms leave x0's
+        own value out, so the position terms depend only on the control and
+        x0's higher derivatives.
+        """
+        n = self.x0.order
+        out = []
         for i in range(n):
             row = []
             for ax in range(3):
-                val = self.u[ax] * t ** (n - i) / math.factorial(n - i)
-                for j in range(i, n):
-                    val += self.x0.derivs[j][ax] * t ** (j - i) / math.factorial(j - i)
-                row.append(val)
-            derivs.append(tuple(row))
-        return State(tuple(derivs))
+                terms = [self.u[ax] * t ** (n - i) / math.factorial(n - i)]
+                for j in range(i + 1, n):
+                    terms.append(self.x0.derivs[j][ax] * t ** (j - i)
+                                 / math.factorial(j - i))
+                row.append(tuple(terms))
+            out.append(tuple(row))
+        return tuple(out)
 
     def end_state(self) -> State:
         return self.state_at(self.tau)
 
 
+def fold_terms(x: float, terms: tuple[float, ...]) -> float:
+    """terms[0] + x, then each later term, added left to right."""
+    val = terms[0] + x
+    for c in terms[1:]:
+        val += c
+    return val
+
+
+def fold_state(x0: State, terms) -> State:
+    """The state whose derivative i on axis ax sums x0's and terms[i][ax]."""
+    return State(tuple(tuple(fold_terms(x, tt) for x, tt in zip(own, row))
+                       for own, row in zip(x0.derivs, terms)))
+
+
 def propagate(x0: State, u, tau: float, rho: float) -> MotionPrimitive:
     """Build the primitive that applies constant control u to x0 for tau.
 
-    The position polynomial per axis is the Taylor expansion of the chain of
-    integrators, degree n; the edge cost is (|u|^2 + rho) * tau.
+    The edge cost is (|u|^2 + rho) * tau.
     """
     n = x0.order
     if n not in SEARCH_ORDERS:
@@ -98,15 +140,8 @@ def propagate(x0: State, u, tau: float, rho: float) -> MotionPrimitive:
     if rho < 0.0:
         raise ValueError("rho must be nonnegative")
     ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-    uu = (ux, uy, uz)
-    inv_nf = 1.0 / math.factorial(n)
-    polys = []
-    for ax in range(3):
-        coeffs = [x0.derivs[j][ax] / math.factorial(j) for j in range(n)]
-        coeffs.append(uu[ax] * inv_nf)
-        polys.append(Poly1(tuple(coeffs)))
     cost = (ux * ux + uy * uy + uz * uz + rho) * tau
-    return MotionPrimitive(x0, uu, tau, (polys[0], polys[1], polys[2]), cost)
+    return MotionPrimitive(x0, (ux, uy, uz), tau, cost)
 
 
 def lattice_resolutions(n: int, d_u: float, tau: float) -> tuple[float, ...]:

@@ -190,15 +190,19 @@ def effort_between(x0: State, xf: State, T: float) -> float:
     if xf.order != n:
         raise ValueError("boundary states must have the same order")
     winv = _UNIT_GRAMIAN_INV[n]
+    # The transition entries T**k / k! and the scalings T**(n-1-i+1/2),
+    # computed once for all three axes.
+    step = [T ** k / math.factorial(k) for k in range(n)]
+    scale = [T ** (n - 1 - i + 0.5) for i in range(n)]
+    d0, df = x0.derivs, xf.derivs
     total = 0.0
     for ax in range(3):
         z = []
         for i in range(n):
             reach = 0.0
             for j in range(i, n):
-                reach += T ** (j - i) / math.factorial(j - i) * x0.derivs[j][ax]
-            delta = xf.derivs[i][ax] - reach
-            z.append(delta / T ** (n - 1 - i + 0.5))
+                reach += step[j - i] * d0[j][ax]
+            z.append((df[i][ax] - reach) / scale[i])
         for i in range(n):
             zi = z[i]
             if zi == 0.0:
@@ -286,13 +290,15 @@ def _bracket_then_golden(cost: Callable[[float], float], lo: float) -> float:
     return _golden_min(cost, lo_bracket, t_cur)
 
 
-def lqmt_optimal_time(x0: State, xf: State, rho: float,
-                      T_lower: float = 0.0) -> LqmtSolution:
-    """Minimize effort plus rho * T over horizons T >= T_lower.
+def _candidate_horizons(x0: State, xf: State, rho: float,
+                        T_lower: float) -> list[float]:
+    """Horizons T >= T_lower among which the free-horizon minimum lies.
 
     Orders 1 and 2 use the closed-form stationarity conditions (a square
     root and a quartic); order 3 brackets the minimum by doubling and then
-    runs a golden-section refinement.
+    runs a golden-section refinement. An active T_lower comes first. The
+    list is empty when the boundary states agree to within solver
+    resolution, where the minimum is the zero-cost degenerate solution.
 
     Raises NoFiniteMinimumError unless rho > 0.
     """
@@ -303,7 +309,7 @@ def lqmt_optimal_time(x0: State, xf: State, rho: float,
         raise ValueError("boundary states must have the same order")
     T_lower = max(T_lower, 0.0)
     if x0 == xf and T_lower <= MIN_SOLVE_TIME:
-        return _degenerate_solution(x0)
+        return []
 
     candidates: list[float] = []
     if n == 1:
@@ -326,9 +332,35 @@ def lqmt_optimal_time(x0: State, xf: State, rho: float,
     feasible = sorted(c for c in candidates if c >= T_lower and c > MIN_SOLVE_TIME)
     if T_lower > MIN_SOLVE_TIME:
         feasible.insert(0, T_lower)
+    return feasible
+
+
+def lqmt_optimal_time(x0: State, xf: State, rho: float,
+                      T_lower: float = 0.0) -> LqmtSolution:
+    """Minimize effort plus rho * T over horizons T >= T_lower.
+
+    The minimum is taken over the candidate horizons of
+    _candidate_horizons, and the trajectory is the fixed-time solve there.
+
+    Raises NoFiniteMinimumError unless rho > 0.
+    """
+    feasible = _candidate_horizons(x0, xf, rho, T_lower)
     if not feasible:
-        # Boundary states agree to within solver resolution.
         return _degenerate_solution(x0)
-    cost_fn = _total_cost(x0, xf, rho)
-    best = min(feasible, key=cost_fn)
+    best = min(feasible, key=_total_cost(x0, xf, rho))
     return lqmt_fixed_time(BoundaryPair(x0, xf, best), rho)
+
+
+def lqmt_optimal_cost(x0: State, xf: State, rho: float,
+                      T_lower: float = 0.0) -> float:
+    """The cost_total of lqmt_optimal_time, bit for bit, without its solve.
+
+    Each candidate horizon is evaluated once, with the same expression the
+    fixed-time solve uses for its total, and no trajectory is built.
+
+    Raises NoFiniteMinimumError unless rho > 0.
+    """
+    feasible = _candidate_horizons(x0, xf, rho, T_lower)
+    if not feasible:
+        return 0.0
+    return min(effort_between(x0, xf, T) + rho * T for T in feasible)

@@ -3,7 +3,18 @@
 States are hashed by their integer lattice key relative to the start state;
 the float state stored at a key is the one from the cheapest arrival found so
 far, and a key is reopened whenever a strictly cheaper arrival shows up. Ties
-on f prefer the larger g (deeper progress), then the lower control index.
+on f prefer the larger g (deeper progress), then the lower position of the
+edge in its parent's list of feasible successors.
+
+Successors come from a per-plan edge table (EdgeTable). Holding a control
+for tau moves every derivative of order one and up independently of the
+start position, so the table is keyed on a state's exact higher derivatives
+s.derivs[1:] and holds, for each control that passes check_dynamics, the
+edge cost, the end state's higher derivatives and their part of the lattice
+key, the addends of the end position, and the collision-sample
+displacements from the start position. Expanding a state then costs one
+dictionary lookup, one cell test per sample and a few float additions per
+edge; the primitives of the returned plan are rebuilt with propagate.
 
 Two admissible heuristics are provided besides the zero one: a max-speed
 time bound scaled by rho, and the full free-horizon minimum-effort cost to
@@ -19,10 +30,13 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from .gridmap import DynBounds, OccupancyGrid, check_collision, check_dynamics
-from .lattice import (ControlSet, LatticeKey, MotionPrimitive, lattice_key,
-                      propagate)
-from .lti import State, Vec3, lqmt_optimal_time
+from .gridmap import (DynBounds, OccupancyGrid, check_collision,
+                      check_dynamics, sample_offsets)
+from .lattice import (ControlSet, LatticeKey, MotionPrimitive, fold_state,
+                      fold_terms, lattice_key, lattice_resolutions, propagate)
+# check_collision and lqmt_optimal_time are not called here; they stay
+# importable from this module for callers that look them up here.
+from .lti import State, Vec3, lqmt_optimal_cost, lqmt_optimal_time
 
 REST_TOL = 1e-9
 
@@ -56,6 +70,11 @@ class GoalSpec:
 
     p_g: Vec3
     v_g: Vec3 = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        # A NaN coordinate would pass every box test in goal_reached.
+        if not all(math.isfinite(c) for c in (*self.p_g, *self.v_g)):
+            raise ValueError("goal position and velocity must be finite")
 
 
 @dataclass(frozen=True)
@@ -113,19 +132,22 @@ def h_max_speed(s: State, goal: GoalSpec, cfg: PlannerConfig) -> float:
     return cfg.rho * d / v_max
 
 
-def h_lqmt(s: State, goal: GoalSpec, cfg: PlannerConfig) -> float:
+def h_lqmt(s: State, goal: GoalSpec, cfg: PlannerConfig,
+           target: Optional[State] = None) -> float:
     """Free-horizon minimum effort-plus-time cost from s to the goal state.
 
     The horizon is floored by the max-speed bound, so this dominates
-    h_max_speed while staying a relaxation of the lattice problem.
+    h_max_speed while staying a relaxation of the lattice problem. target,
+    when given, must be goal_state(goal, cfg.order); plan builds it once.
     """
     v_max = cfg.bounds.v_max
     p = s.pos
     d = max(abs(goal.p_g[0] - p[0]), abs(goal.p_g[1] - p[1]),
             abs(goal.p_g[2] - p[2]))
     t_lower = d / v_max if v_max is not None else 0.0
-    target = goal_state(goal, cfg.order)
-    return lqmt_optimal_time(s, target, cfg.rho, t_lower).cost_total
+    if target is None:
+        target = goal_state(goal, cfg.order)
+    return lqmt_optimal_cost(s, target, cfg.rho, t_lower)
 
 
 def _heuristic_fn(goal: GoalSpec, cfg: PlannerConfig) -> Callable[[State], float]:
@@ -133,7 +155,8 @@ def _heuristic_fn(goal: GoalSpec, cfg: PlannerConfig) -> Callable[[State], float
         return lambda s: 0.0
     if cfg.heuristic is Heuristic.MAX_SPEED:
         return lambda s: h_max_speed(s, goal, cfg)
-    return lambda s: h_lqmt(s, goal, cfg)
+    target = goal_state(goal, cfg.order)
+    return lambda s: h_lqmt(s, goal, cfg, target)
 
 
 def goal_reached(s: State, goal: GoalSpec, cfg: PlannerConfig) -> bool:
@@ -154,19 +177,78 @@ def goal_reached(s: State, goal: GoalSpec, cfg: PlannerConfig) -> bool:
     return True
 
 
+# One successor edge: (control, cost, end state, end lattice key).
+Edge = tuple[Vec3, float, State, LatticeKey]
+
+
+class EdgeTable:
+    """Feasible edges out of lattice states, built once per plan and key.
+
+    A row, keyed on the exact floats s.derivs[1:], holds one entry per
+    control that passes check_dynamics, in control-set order: the control,
+    the edge cost, the end state's higher derivatives and lattice-key part,
+    the end position's addends (MotionPrimitive.state_terms) and the
+    collision-sample displacements (gridmap.sample_offsets). Rows are built
+    from propagate and check_dynamics on the first state with those higher
+    derivatives; every result derived from a row equals, bit for bit, what
+    the primitive built at the state itself gives.
+    """
+
+    def __init__(self, cfg: PlannerConfig, grid: OccupancyGrid, origin: State):
+        self._cfg = cfg
+        self._grid = grid
+        self._origin = origin
+        self._pos_res = lattice_resolutions(cfg.order, cfg.control_set.d_u,
+                                            cfg.tau)[0]
+        self._rows: dict[tuple[Vec3, ...], list] = {}
+
+    def _build_row(self, s: State) -> list:
+        cfg = self._cfg
+        d_u, tau = cfg.control_set.d_u, cfg.tau
+        row = []
+        for u in cfg.control_set.controls:
+            prim = propagate(s, u, tau, cfg.rho)
+            if not check_dynamics(prim, cfg.bounds):
+                continue
+            terms = prim.state_terms(tau)
+            end = fold_state(s, terms)
+            key = lattice_key(end, d_u, tau, self._origin)
+            offsets = sample_offsets(prim, cfg.bounds.v_max,
+                                     self._grid.resolution)
+            row.append((prim.u, prim.cost, end.derivs[1:], key[1:],
+                        terms[0], offsets))
+        self._rows[s.derivs[1:]] = row
+        return row
+
+    def successors(self, s: State) -> list[Edge]:
+        """Feasible edges out of s, in control-set order."""
+        row = self._rows.get(s.derivs[1:])
+        if row is None:
+            row = self._build_row(s)
+        p = s.pos
+        px, py, pz = p
+        ox, oy, oz = self._origin.pos
+        res = self._pos_res
+        free_along = self._grid.free_along
+        unknown_is_free = self._cfg.unknown_is_free
+        out = []
+        for u, cost, higher, key_tail, (tx, ty, tz), offsets in row:
+            if not free_along(p, offsets, unknown_is_free):
+                continue
+            x = fold_terms(px, tx)
+            y = fold_terms(py, ty)
+            z = fold_terms(pz, tz)
+            key = ((round((x - ox) / res), round((y - oy) / res),
+                    round((z - oz) / res)),) + key_tail
+            out.append((u, cost, State(((x, y, z),) + higher), key))
+        return out
+
+
 def get_successors(s: State, cfg: PlannerConfig,
                    grid: OccupancyGrid) -> list[MotionPrimitive]:
     """Feasible primitives out of s, in control-set order."""
-    v_max = cfg.bounds.v_max
-    out = []
-    for u in cfg.control_set.controls:
-        prim = propagate(s, u, cfg.tau, cfg.rho)
-        if not check_dynamics(prim, cfg.bounds):
-            continue
-        if not check_collision(prim, grid, v_max, cfg.unknown_is_free):
-            continue
-        out.append(prim)
-    return out
+    return [propagate(s, u, cfg.tau, cfg.rho)
+            for u, _cost, _end, _key in EdgeTable(cfg, grid, s).successors(s)]
 
 
 def _static_within_bounds(s: State, bounds: DynBounds) -> bool:
@@ -202,13 +284,15 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
 
     hfun = _heuristic_fn(goal, cfg)
     weight = cfg.heuristic_weight
-    d_u, tau = cfg.control_set.d_u, cfg.tau
+    d_u, tau, rho = cfg.control_set.d_u, cfg.tau, cfg.rho
     origin = start
     key0 = lattice_key(start, d_u, tau, origin)
+    edges = EdgeTable(cfg, grid, origin)
 
     g_best: dict[LatticeKey, float] = {key0: 0.0}
     state_of: dict[LatticeKey, State] = {key0: start}
-    arrival: dict[LatticeKey, tuple[LatticeKey, MotionPrimitive]] = {}
+    # Parent key, parent state and control of the cheapest arrival.
+    arrival: dict[LatticeKey, tuple[LatticeKey, State, Vec3]] = {}
     closed: set[LatticeKey] = set()
     counter = 0
     heap: list[tuple[float, float, int, int, LatticeKey]] = [
@@ -233,18 +317,16 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
             break
         closed.add(key)
         expanded += 1
-        for idx, prim in enumerate(get_successors(s, cfg, grid)):
+        for idx, (u, cost, s2, k2) in enumerate(edges.successors(s)):
             if edge_hook is not None:
-                edge_hook(s, prim)
-            s2 = prim.end_state()
-            k2 = lattice_key(s2, d_u, tau, origin)
-            g2 = g + prim.cost
+                edge_hook(s, propagate(s, u, tau, rho))
+            g2 = g + cost
             old = g_best.get(k2)
             if old is not None and g2 >= old - G_DOMINANCE_MARGIN:
                 continue
             g_best[k2] = g2
             state_of[k2] = s2
-            arrival[k2] = (key, prim)
+            arrival[k2] = (key, s, u)
             closed.discard(k2)
             counter += 1
             heappush(heap, (g2 + weight * hfun(s2), -g2, idx, counter, k2))
@@ -256,8 +338,8 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
     chain: list[MotionPrimitive] = []
     key = goal_key
     while key != key0:
-        key, prim = arrival[key]
-        chain.append(prim)
+        key, parent, u = arrival[key]
+        chain.append(propagate(parent, u, tau, rho))
     chain.reverse()
     total = 0.0
     for prim in chain:

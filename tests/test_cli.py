@@ -5,11 +5,13 @@ cheap to assert; one subprocess smoke test proves the module entry point
 works outside the test harness.
 """
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kinoplan
 from kinoplan.cli import main
 from kinoplan.gridmap import load_grid
 
@@ -111,6 +113,59 @@ def test_plan_missing_vmax_is_usage_error(tmp_path, capsys):
                            "--umax", "1", "--mu", "1")
     assert code == 1
     assert "--vmax" in err
+
+
+@pytest.mark.parametrize("goal", ["nan,8,0.25", "inf,1,0.25",
+                                  "1,-inf,0.25"])
+def test_plan_non_finite_goal_is_usage_error(tmp_path, capsys, goal):
+    m = make_map(capsys, tmp_path / "m.grid")
+    code, out, err = run_cli(capsys, "plan", "--map", m,
+                             "--start", "1,1,0.25", "--goal", goal,
+                             *PLAN_FLAGS)
+    assert code == 1
+    assert out == ""
+    assert "--goal" in err and "finite" in err
+
+
+def test_plan_non_finite_start_is_usage_error(tmp_path, capsys):
+    m = make_map(capsys, tmp_path / "m.grid")
+    code, out, err = run_cli(capsys, "plan", "--map", m,
+                             "--start", "1,1,0.25,nan,0,0",
+                             "--goal", "3,1,0.25", *PLAN_FLAGS)
+    assert code == 1
+    assert out == ""
+    assert "--start" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--vmax", "-1"), ("--vmax", "0"), ("--vmax", "nan"),
+    ("--amax", "0"), ("--amax", "-2"), ("--dt", "0"), ("--dt", "-0.1"),
+])
+def test_plan_non_positive_bound_is_usage_error(tmp_path, capsys, flag, value):
+    # The map does not exist: the range check must come before it is read.
+    flags = dict(zip(PLAN_FLAGS[::2], PLAN_FLAGS[1::2]))
+    flags[flag] = value
+    argv = [a for kv in flags.items() for a in kv]
+    code, out, err = run_cli(capsys, "plan", "--map",
+                             str(tmp_path / "missing.grid"),
+                             "--start", "1,1,0.25", "--goal", "3,1,0.25",
+                             *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err and "positive" in err
+
+
+@pytest.mark.parametrize("flag", ["--vmax", "--amax"])
+def test_bench_non_positive_bound_is_usage_error(tmp_path, capsys, flag):
+    flags = dict(zip(PLAN_FLAGS[::2], PLAN_FLAGS[1::2]))
+    flags[flag] = "-1"
+    argv = [a for kv in flags.items() for a in kv]
+    code, out, err = run_cli(capsys, "bench", "--maps", str(tmp_path),
+                             "--cases", str(tmp_path / "missing.txt"),
+                             "--report", str(tmp_path / "r.csv"), *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err and "positive" in err
 
 
 def test_plan_occupied_start_is_no_path_exit(tmp_path, capsys):
@@ -256,17 +311,23 @@ def test_no_command_prints_usage(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child interpreter imports the same kinoplan as this one, whether
+    # it comes from PYTHONPATH or from pytest's pythonpath setting.
+    src = os.path.dirname(os.path.dirname(kinoplan.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     m = tmp_path / "m.grid"
     r = subprocess.run(
         [sys.executable, "-m", "kinoplan.cli", "genmap", "--dims", "8", "8",
          "1", "--resolution", "0.5", "--density", "0", "--seed", "1",
          "--out", str(m)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert r.returncode == 0
     r = subprocess.run(
         [sys.executable, "-m", "kinoplan.cli", "plan", "--map", str(m),
          "--start", "1,1,0.25", "--goal", "3,1,0.25", *PLAN_FLAGS],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert r.stdout.startswith("Solved")
 

@@ -23,6 +23,7 @@ from kinoplan.lti import (
     effort_between,
     gramian,
     lqmt_fixed_time,
+    lqmt_optimal_cost,
     lqmt_optimal_time,
     state_transition,
 )
@@ -303,6 +304,33 @@ def test_optimal_time_degenerate_pair_is_free():
     sol = lqmt_optimal_time(x0, x0, rho=3.0)
     assert sol.cost_total == 0.0
     assert sol.T == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_optimal_cost_is_optimal_time_total_bit_for_bit(n):
+    # Half the pairs get a horizon floor above the free optimum, so the
+    # floor is the minimizer there; the other half are unconstrained.
+    rng = random.Random(600 + n)
+    floored = active = 0
+    for k in range(500):
+        x0 = rand_state(rng, n)
+        xf = rand_state(rng, n)
+        rho = rng.uniform(0.05, 5.0)
+        t_lower = 0.0
+        if k % 2:
+            t_lower = lqmt_optimal_time(x0, xf, rho).T * rng.uniform(1.1, 4.0)
+            floored += 1
+        sol = lqmt_optimal_time(x0, xf, rho, t_lower)
+        active += k % 2 and sol.T == t_lower
+        assert lqmt_optimal_cost(x0, xf, rho, t_lower) == sol.cost_total
+    assert floored == 250
+    assert active >= 240
+    for t_lower in (0.0, 0.5):
+        x0 = rand_state(rng, n)
+        assert (lqmt_optimal_cost(x0, x0, 1.0, t_lower)
+                == lqmt_optimal_time(x0, x0, 1.0, t_lower).cost_total)
+    with pytest.raises(NoFiniteMinimumError):
+        lqmt_optimal_cost(x0, x0, 0.0)
 
 
 def _golden_min(f, a, b, iters=200):

@@ -8,14 +8,17 @@ planner does so equal plans give bit-equal totals.
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
 
-from kinoplan.gridmap import DynBounds, OccupancyGrid, random_grid
-from kinoplan.lattice import make_control_set
+from kinoplan.gridmap import (CellState, DynBounds, OccupancyGrid,
+                              check_dynamics, random_grid)
+from kinoplan.lattice import lattice_key, make_control_set, propagate
 from kinoplan.lti import State
 from kinoplan.search import (
+    EdgeTable,
     GoalSpec,
     Heuristic,
     MissingBoundError,
@@ -183,6 +186,122 @@ def test_successors_prune_speeding_controls():
     assert [p.u for p in succ] == expected
 
 
+# ------------------------------------------ edge table vs brute force
+
+
+def sampled_free(prim, grid, v_max, unknown_is_free):
+    """The collision sampling rule, evaluated point by point with Horner."""
+    steps = max(1, math.ceil(prim.tau * v_max / grid.resolution))
+    for i in range(steps + 1):
+        t = prim.tau if i == steps else prim.tau * i / steps
+        v = grid.value_at(tuple(p.eval(t) for p in prim.axis_polys))
+        if not (v == CellState.FREE
+                or (unknown_is_free and v == CellState.UNKNOWN)):
+            return False
+    return True
+
+
+def brute_successors(s, cfg, grid):
+    out = []
+    for u in cfg.control_set.controls:
+        prim = propagate(s, u, cfg.tau, cfg.rho)
+        if (check_dynamics(prim, cfg.bounds)
+                and sampled_free(prim, grid, cfg.bounds.v_max,
+                                 cfg.unknown_is_free)):
+            out.append(prim)
+    return out
+
+
+def walk_states(cfg, grid, rng, walks=20, depth=10):
+    """States reached by random dynamically feasible control sequences.
+
+    Positions drift over the whole map, so collision prunes some edges and
+    not others; velocities revisit the same lattice points along different
+    float sums.
+    """
+    states = []
+    nx, ny, nz = grid.dims
+    r = grid.resolution
+    for _ in range(walks):
+        p = (rng.uniform(0, nx * r), rng.uniform(0, ny * r),
+             rng.uniform(0, nz * r) if nz > 1 else 0.25)
+        s = State.rest(cfg.order, p)
+        for _ in range(depth):
+            states.append(s)
+            feasible = [prim for u in cfg.control_set.controls
+                        for prim in [propagate(s, u, cfg.tau, cfg.rho)]
+                        if check_dynamics(prim, cfg.bounds)]
+            if not feasible:
+                break
+            s = rng.choice(feasible).end_state()
+    return states
+
+
+def mixed_grid(dims, seed):
+    rng = random.Random(seed)
+    nx, ny, nz = dims
+    cells = bytes(rng.choice((0, 0, 0, 0, 1, 2)) for _ in range(nx * ny * nz))
+    return OccupancyGrid((0.0, 0.0, 0.0), 0.5, dims, cells)
+
+
+def lattice_cfg(order=2, tau=1.0, rho=1.0, u_max=1.0, mu=1, dims=2,
+                v_max=2.0, a_max=None, unknown_is_free=False):
+    return PlannerConfig(order=order, tau=tau, rho=rho,
+                         control_set=make_control_set(u_max, mu, dims),
+                         bounds=DynBounds(v_max=v_max, a_max=a_max),
+                         goal_pos_tol=0.5, unknown_is_free=unknown_is_free)
+
+
+EDGE_CASES = {
+    "corpus": (lattice_cfg(), random_grid((20, 20, 1), 0.5, 0.2, seed=3)),
+    "non_dyadic": (lattice_cfg(tau=0.3, rho=0.7, mu=2, v_max=1.0),
+                   random_grid((20, 20, 1), 0.5, 0.2, seed=4)),
+    "3d_27_controls": (lattice_cfg(dims=3),
+                       random_grid((12, 12, 12), 0.5, 0.2, seed=5)),
+    "order3_amax": (lattice_cfg(order=3, tau=0.5, v_max=2.0, a_max=1.0),
+                    random_grid((20, 20, 1), 0.5, 0.2, seed=6)),
+    "unknown_occupied": (lattice_cfg(), mixed_grid((20, 20, 1), 7)),
+    "unknown_free": (lattice_cfg(unknown_is_free=True),
+                     mixed_grid((20, 20, 1), 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_successors_equal_brute_force(case):
+    cfg, grid = EDGE_CASES[case]
+    rng = random.Random(case)
+    states = walk_states(cfg, grid, rng)
+    origin = states[0]
+    table = EdgeTable(cfg, grid, origin)
+    d_u, tau = cfg.control_set.d_u, cfg.tau
+    kept = pruned = 0
+    for s in states:
+        want = brute_successors(s, cfg, grid)
+        assert get_successors(s, cfg, grid) == want
+        # One table shared by every state, as in a plan: rows built at one
+        # state serve the others with the same higher derivatives.
+        got = table.successors(s)
+        assert [(u, cost, end) for u, cost, end, _key in got] == [
+            (p.u, p.cost, p.end_state()) for p in want]
+        assert [key for *_rest, key in got] == [
+            lattice_key(p.end_state(), d_u, tau, origin) for p in want]
+        kept += len(want)
+        pruned += len(cfg.control_set.controls) - len(want)
+    assert kept and pruned
+    # Some rows were shared between states with distinct positions.
+    assert len(table._rows) < len(states)
+
+
+def test_non_dyadic_keys_carry_several_float_states():
+    cfg, grid = EDGE_CASES["non_dyadic"]
+    states = walk_states(cfg, grid, random.Random("non_dyadic"))
+    by_key = {}
+    for s in states:
+        k = lattice_key(s, cfg.control_set.d_u, cfg.tau, states[0])
+        by_key.setdefault(k[1:], set()).add(s.derivs[1:])
+    assert any(len(v) > 1 for v in by_key.values())
+
+
 # ----------------------------------------------------------- heuristics
 
 
@@ -268,6 +387,17 @@ def test_plan_needs_vmax():
                         heuristic=Heuristic.ZERO)
     with pytest.raises(MissingBoundError):
         plan(State.rest(2), GoalSpec((1.0, 0.0, 0.0)), cfg, FREE_60)
+
+
+@pytest.mark.parametrize("p_g,v_g", [
+    ((math.nan, 8.0, 0.25), (0.0, 0.0, 0.0)),
+    ((math.inf, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((1.0, 2.0, 0.0), (0.0, -math.inf, 0.0)),
+    ((1.0, 2.0, 0.0), (math.nan, 0.0, 0.0)),
+])
+def test_goal_spec_rejects_non_finite(p_g, v_g):
+    with pytest.raises(ValueError, match="finite"):
+        GoalSpec(p_g, v_g)
 
 
 def test_goal_reached_semantics():
@@ -382,3 +512,85 @@ def test_zero_rho_is_pure_effort_search():
     res = plan(State.rest(2), goal, cfg, FREE_60)
     assert res.status is PlanStatus.SOLVED
     assert res.total_cost == pytest.approx(2.0)
+
+
+# ------------------------------------------------------ regression lock
+
+# (status, expanded, repr(total_cost)) recorded before the edge table and
+# the cost-only heuristic went in; the search must stay the same bit for
+# bit. Corpus seeds are the first twelve outside the acceptance corpus's
+# vetted list.
+LOCKED_CORPUS = {
+    3: ("Solved", 65, "15.0"), 4: ("NoPath", 1083, "inf"),
+    5: ("Solved", 79, "17.0"), 6: ("Solved", 289, "24.0"),
+    9: ("Solved", 59, "15.0"), 10: ("Solved", 19, "15.0"),
+    11: ("Solved", 88, "16.0"), 13: ("Solved", 74, "16.0"),
+    15: ("Solved", 93, "17.0"), 24: ("Solved", 87, "17.0"),
+    25: ("Solved", 86, "16.0"), 27: ("Solved", 90, "18.0"),
+}
+LOCKED_CLI_3D = {0: ("Solved", 52, "8.0"), 1: ("Solved", 77, "9.0"),
+                 2: ("Solved", 42, "8.0")}
+# Order 3 with an acceleration bound, and a lattice whose steps are not
+# dyadic fractions, on the same 20 x 20 maps.
+LOCKED_OTHER = {
+    ("jerk", 3): ("Solved", 37, "15.0"), ("jerk", 4): ("Solved", 65, "20.0"),
+    ("non_dyadic", 4): ("Solved", 359, "5.85"),
+}
+
+
+def test_locked_corpus_results():
+    start = State.rest(2, (1.0, 1.0, 0.25))
+    goal = GoalSpec((9.0, 9.0, 0.25))
+    cfg = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    got = {}
+    for seed in LOCKED_CORPUS:
+        grid = carve_free(random_grid((20, 20, 1), 0.5, 0.2, seed=seed),
+                          start.pos, goal.p_g)
+        res = plan(start, goal, cfg, grid)
+        got[seed] = (res.status.value, res.expanded, repr(res.total_cost))
+    assert got == LOCKED_CORPUS
+
+
+def test_locked_other_lattices():
+    cfgs = {
+        "jerk": PlannerConfig(
+            order=3, tau=1.0, rho=1.0,
+            control_set=make_control_set(1.0, 1, 2),
+            bounds=DynBounds(v_max=2.0, a_max=1.0), goal_pos_tol=0.5,
+            goal_requires_rest=True),
+        "non_dyadic": PlannerConfig(
+            order=2, tau=0.6, rho=0.7,
+            control_set=make_control_set(1.0, 2, 2),
+            bounds=DynBounds(v_max=1.5), goal_pos_tol=0.5),
+    }
+    goals = {"jerk": (5.0, 5.0, 0.25), "non_dyadic": (6.0, 5.0, 0.25)}
+    got = {}
+    for name, seed in LOCKED_OTHER:
+        cfg = cfgs[name]
+        start = State.rest(cfg.order, (1.0, 1.0, 0.25))
+        grid = carve_free(random_grid((20, 20, 1), 0.5, 0.2, seed=seed),
+                          start.pos, goals[name])
+        res = plan(start, GoalSpec(goals[name]), cfg, grid)
+        got[name, seed] = (res.status.value, res.expanded,
+                           repr(res.total_cost))
+    assert got == LOCKED_OTHER
+
+
+def test_locked_cli_3d_results(tmp_path, capsys):
+    from kinoplan.cli import main
+    from kinoplan.gridmap import save_grid
+    got = {}
+    for seed in LOCKED_CLI_3D:
+        grid = carve_free(random_grid((12, 12, 12), 0.5, 0.2, seed=seed),
+                          (1.25, 1.25, 1.25), (2.75, 2.75, 2.75))
+        path = str(tmp_path / f"m{seed}.grid")
+        save_grid(grid, path)
+        code = main(["plan", "--map", path, "--start", "1.25,1.25,1.25",
+                     "--goal", "2.75,2.75,2.75", "--order", "2",
+                     "--tau", "1.0", "--rho", "1.0", "--umax", "1.0",
+                     "--mu", "1", "--vmax", "2.0", "--goal-rest",
+                     "--max-expansions", "300"])
+        status, cost, expanded, _secs = capsys.readouterr().out.split()
+        assert code == (0 if status == "Solved" else 2)
+        got[seed] = (status, int(expanded), cost)
+    assert got == LOCKED_CLI_3D
