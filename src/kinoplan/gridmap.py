@@ -45,11 +45,21 @@ class DimensionMismatchError(MapParseError):
 
 @dataclass(frozen=True)
 class DynBounds:
-    """Per-derivative magnitude limits; None disables a check."""
+    """Per-derivative magnitude limits; None disables a check.
+
+    A bound that is given must be finite and positive.
+    """
 
     v_max: float | None = None
     a_max: float | None = None
     j_max: float | None = None
+
+    def __post_init__(self):
+        for name in ("v_max", "a_max", "j_max"):
+            bound = getattr(self, name)
+            if bound is not None and not 0.0 < bound < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {bound}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,26 @@ class OccupancyGrid:
 
     def is_free_at(self, p, unknown_is_free: bool = False) -> bool:
         return self.free_along(p, _AT_POINT, unknown_is_free)
+
+    def any_free_in_box(self, lo, hi, unknown_is_free: bool = False) -> bool:
+        """True iff some free cell meets the closed box [lo, hi].
+
+        Under the floor convention of cell_index the cells that meet the
+        box run, per axis, from cell_index(lo) to cell_index(hi); cells
+        outside the stored box are occupied.
+        """
+        r = self.resolution
+        spans = []
+        for a, b, o, n in zip(lo, hi, self.origin, self.dims):
+            # Clamped before the floor, so a far-away box stays cheap.
+            k0 = math.floor(max((a - o) / r, -1.0))
+            k1 = math.floor(min((b - o) / r, float(n)))
+            spans.append(range(max(k0, 0), min(k1, n - 1) + 1))
+        nx, ny, _nz = self.dims
+        cells = self.cells
+        free = _FREE_OR_UNKNOWN if unknown_is_free else _FREE_ONLY
+        return any(cells[ix + nx * (iy + ny * iz)] in free
+                   for iz in spans[2] for iy in spans[1] for ix in spans[0])
 
     def free_along(self, p0, offsets, unknown_is_free: bool = False) -> bool:
         """True iff every point p0 + d, d in offsets, lies in a free cell.

@@ -11,6 +11,17 @@ fixed horizon the minimizer is the unique degree 2n-1 polynomial through the
 boundary conditions, and its cost is the Gramian quadratic form
 delta' * W(T)^-1 * delta with delta = xf - F(T) x0. The free-horizon solve
 minimizes that cost plus rho * T over T >= T_lower.
+
+Order 2 (acceleration control) has closed forms in three dot products of
+the boundary pair: with dp = pf - p0, pp = |dp|^2, vs = (v0 + vf).dp and
+vv = |v0|^2 + v0.vf + |vf|^2, the effort is
+12 pp / T^3 - 12 vs / T^2 + 4 vv / T, evaluated as the sum of squares
+(|vf - v0|^2 + 12 |dp - T (v0 + vf) / 2|^2 / T^2) / T. Setting the
+derivative of effort plus rho * T to zero gives the quartic
+rho T^4 - 4 vv T^2 + 24 vs T - 36 pp = 0, which has no cubic term, so the
+candidate horizons are its positive roots (Ferrari on the depressed form).
+Order 1 has the closed-form horizon |dp| / sqrt(rho); order 3 still
+searches numerically.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .polyalg import Poly1, real_roots
+from .polyalg import (LEADING_COEFF_CUTOFF, Poly1, _polish,
+                      _roots_quartic_depressed, real_roots)
 
 Vec3 = tuple[float, float, float]
 
@@ -28,6 +40,10 @@ ORDERS = (1, 2, 3)
 
 # Horizons shorter than this make the boundary solve meaningless in float64.
 MIN_SOLVE_TIME = 1e-6
+
+# A raw quartic root this far (relative) below the horizon floor is still
+# polished, in case the polish carries it over the floor.
+_POLISH_SLACK = 1e-6
 
 _GOLDEN_REL_WIDTH = 1e-8
 _GOLDEN_MAX_ITERS = 200
@@ -43,11 +59,18 @@ class NoFiniteMinimumError(ValueError):
 
 def _vec3(v) -> Vec3:
     x, y, z = v
-    return (float(x), float(y), float(z))
+    out = (float(x), float(y), float(z))
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"state components must be finite, got {out}")
+    return out
 
 
 class State(NamedTuple):
-    """Derivatives of position, lowest order first: derivs[0] is position."""
+    """Derivatives of position, lowest order first: derivs[0] is position.
+
+    State.of and State.rest reject non-finite components; the plain
+    constructor, used on the search's hot path, checks nothing.
+    """
 
     derivs: tuple[Vec3, ...]
 
@@ -183,12 +206,26 @@ _UNIT_BOUNDARY_INV = _boundary_inverses()
 def effort_between(x0: State, xf: State, T: float) -> float:
     """Minimum control effort integral |u|^2 to steer x0 to xf in time T.
 
-    Evaluates delta' W(T)^-1 delta through the unit-horizon Gramian inverse,
-    which keeps the computation well conditioned for any T > 0.
+    Order 2 uses the sum-of-squares closed form
+    (|vf - v0|^2 + 12 |dp - T (v0 + vf) / 2|^2 / T^2) / T, dp = pf - p0.
+    Orders 1 and 3 evaluate delta' W(T)^-1 delta through the unit-horizon
+    Gramian inverse, which keeps the computation well conditioned for any
+    T > 0.
     """
     n = x0.order
     if xf.order != n:
         raise ValueError("boundary states must have the same order")
+    if n == 2:
+        (p0, v0), (pf, vf) = x0.derivs, xf.derivs
+        a0, a1, a2 = v0
+        b0, b1, b2 = vf
+        d0, d1, d2 = b0 - a0, b1 - a1, b2 - a2
+        h = 0.5 * T
+        m0 = pf[0] - p0[0] - h * (a0 + b0)
+        m1 = pf[1] - p0[1] - h * (a1 + b1)
+        m2 = pf[2] - p0[2] - h * (a2 + b2)
+        return ((d0 * d0 + d1 * d1 + d2 * d2)
+                + 12.0 * (m0 * m0 + m1 * m1 + m2 * m2) / (T * T)) / T
     winv = _UNIT_GRAMIAN_INV[n]
     # The transition entries T**k / k! and the scalings T**(n-1-i+1/2),
     # computed once for all three axes.
@@ -296,7 +333,8 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
 
     Orders 1 and 2 use the closed-form stationarity conditions (a square
     root and a quartic); order 3 brackets the minimum by doubling and then
-    runs a golden-section refinement. An active T_lower comes first. The
+    runs a golden-section refinement. An active T_lower comes first,
+    except at order 2 when a root above it is known to cost less. The
     list is empty when the boundary states agree to within solver
     resolution, where the minimum is the zero-cost degenerate solution.
 
@@ -312,25 +350,46 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
         return []
 
     candidates: list[float] = []
+    # Whether the floor T_lower can be the minimizer; an active floor
+    # always is a candidate unless the cost is known to fall there.
+    floor_can_win = True
     if n == 1:
         dp = math.sqrt(sum((b - a) ** 2 for a, b in zip(x0.pos, xf.pos)))
         candidates.append(dp / math.sqrt(rho))
     elif n == 2:
-        p0, v0 = x0.derivs
-        pf, vf = xf.derivs
-        dp = tuple(b - a for a, b in zip(p0, pf))
-        dot_pp = sum(d * d for d in dp)
-        dot_vs = sum((a + b) * d for a, b, d in zip(v0, vf, dp))
-        dot_vv = sum(a * a + a * b + b * b for a, b in zip(v0, vf))
-        quartic = Poly1((-36.0 * dot_pp, 24.0 * dot_vs, -4.0 * dot_vv, 0.0, rho))
-        candidates.extend(r for r in real_roots(quartic) if r > MIN_SOLVE_TIME)
+        (p0, v0), (pf, vf) = x0.derivs, xf.derivs
+        a0, a1, a2 = v0
+        b0, b1, b2 = vf
+        d0, d1, d2 = pf[0] - p0[0], pf[1] - p0[1], pf[2] - p0[2]
+        dot_pp = d0 * d0 + d1 * d1 + d2 * d2
+        dot_vs = (a0 + b0) * d0 + (a1 + b1) * d1 + (a2 + b2) * d2
+        dot_vv = ((a0 * a0 + a0 * b0 + b0 * b0) + (a1 * a1 + a1 * b1 + b1 * b1)
+                  + (a2 * a2 + a2 * b2 + b2 * b2))
+        quartic = (-36.0 * dot_pp, 24.0 * dot_vs, -4.0 * dot_vv, 0.0, rho)
+        big = max(36.0 * dot_pp, abs(24.0 * dot_vs), 4.0 * dot_vv, rho)
+        if rho < LEADING_COEFF_CUTOFF * big:
+            # The quartic term is negligible: let real_roots strip it.
+            candidates.extend(real_roots(Poly1(quartic)))
+        else:
+            # No cubic term, so the monic quartic is already depressed.
+            # Only roots near or above the floor are worth polishing.
+            lo = max(T_lower, MIN_SOLVE_TIME) * (1.0 - _POLISH_SLACK)
+            candidates.extend(
+                _polish(quartic, r) for r in _roots_quartic_depressed(
+                    quartic[2] / rho, quartic[1] / rho, quartic[0] / rho)
+                if r >= lo)
+        # The cost's derivative is the quartic over T^4: where the quartic
+        # is negative the cost still falls, and a root above the floor
+        # beats it.
+        floor_can_win = (((rho * T_lower * T_lower - 4.0 * dot_vv) * T_lower
+                          + 24.0 * dot_vs) * T_lower - 36.0 * dot_pp >= 0.0)
     else:
         cost = _total_cost(x0, xf, rho)
         lo = max(T_lower, MIN_SOLVE_TIME)
         candidates.append(_bracket_then_golden(cost, lo))
 
     feasible = sorted(c for c in candidates if c >= T_lower and c > MIN_SOLVE_TIME)
-    if T_lower > MIN_SOLVE_TIME:
+    if T_lower > MIN_SOLVE_TIME and (floor_can_win or not feasible):
         feasible.insert(0, T_lower)
     return feasible
 

@@ -88,18 +88,25 @@ def _polish(coeffs: tuple[float, ...], r: float, steps: int = 3) -> float:
     """A few Newton iterations against the original coefficients.
 
     Keeps the iterate with the smallest residual, so a root that is already
-    converged cannot be made worse.
+    converged cannot be made worse. Stops early once the residual is zero
+    or the iterate is a fixed point, where further steps change nothing.
     """
     dcs = tuple(k * coeffs[k] for k in range(1, len(coeffs)))
-    best_r = r
-    best_res = abs(_horner(coeffs, r))
     x = r
+    fx = _horner(coeffs, x)
+    best_r, best_res = x, abs(fx)
     for _ in range(steps):
+        if best_res == 0.0:
+            break
         d = _horner(dcs, x)
         if d == 0.0:
             break
-        x = x - _horner(coeffs, x) / d
-        res = abs(_horner(coeffs, x))
+        x_next = x - fx / d
+        if x_next == x:
+            break
+        x = x_next
+        fx = _horner(coeffs, x)
+        res = abs(fx)
         if res < best_res:
             best_r, best_res = x, res
     return best_r
@@ -178,6 +185,12 @@ def _roots_quartic(c: tuple[float, ...]) -> list[float]:
     beta = r - p * q / 2.0 + p * p * p / 8.0
     gamma = s - p * r / 4.0 + p * p * q / 16.0 - 3.0 * p ** 4 / 256.0
     shift = -p / 4.0
+    return [y + shift for y in _roots_quartic_depressed(alpha, beta, gamma)]
+
+
+def _roots_quartic_depressed(alpha: float, beta: float,
+                             gamma: float) -> list[float]:
+    """Real roots of y**4 + alpha*y**2 + beta*y + gamma, unpolished."""
     scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
     roots: list[float] = []
     if abs(beta) < 1e-14 * scale:
@@ -199,7 +212,7 @@ def _roots_quartic(c: tuple[float, ...]) -> list[float]:
             off = beta / (2.0 * sq2w)
             roots.extend(_roots_quadratic((alpha / 2.0 + w - off, sq2w, 1.0)))
             roots.extend(_roots_quadratic((alpha / 2.0 + w + off, -sq2w, 1.0)))
-    return [y + shift for y in roots]
+    return roots
 
 
 def _cauchy_bound(c: tuple[float, ...]) -> float:

@@ -94,6 +94,9 @@ class PlannerConfig:
     def __post_init__(self):
         if self.order not in (2, 3):
             raise ValueError("planner order must be 2 or 3")
+        for name in ("tau", "rho", "goal_pos_tol", "heuristic_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
         if self.rho < 0.0:
@@ -267,7 +270,9 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
 
     Collision sampling needs bounds.v_max, so planning without it is
     rejected. Raises StartInfeasibleError when the start cell is not free or
-    the start state already violates the bounds. The optional edge_hook is
+    the start state already violates the bounds. When no free cell meets
+    the goal position box, no state can reach it: the result is NoPath
+    with 0 expansions. The optional edge_hook is
     called with (state, primitive) for every feasible edge the search
     relaxes; it exists for audits and stays out of the common path.
     """
@@ -281,6 +286,12 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
         raise StartInfeasibleError("start position is not in free space")
     if not _static_within_bounds(start, cfg.bounds):
         raise StartInfeasibleError("start state violates the dynamic bounds")
+    tol = cfg.goal_pos_tol
+    if not grid.any_free_in_box(tuple(c - tol for c in goal.p_g),
+                                tuple(c + tol for c in goal.p_g),
+                                cfg.unknown_is_free):
+        return PlanResult(PlanStatus.NO_PATH, (), math.inf, 0,
+                          time.perf_counter() - t0)
 
     hfun = _heuristic_fn(goal, cfg)
     weight = cfg.heuristic_weight

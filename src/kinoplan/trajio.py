@@ -8,6 +8,7 @@ accepted wherever a trajectory is expected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -126,8 +127,16 @@ def write_segments(traj: Trajectory, path: str) -> None:
 
 
 def loads_segments(text: str) -> SplineTrajectory:
-    """Parse the segment format back into a piecewise polynomial."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    """Parse the segment format back into a piecewise polynomial.
+
+    Raises ValueError naming the 1-based line of a malformed entry: a
+    duration that is not finite and positive, or an axis without
+    coefficients.
+    """
+    numbered = [(no, ln) for no, ln in enumerate(text.split("\n"), 1)
+                if ln.strip()]
+    numbers = [no for no, _ln in numbered]
+    lines = [ln for _no, ln in numbered]
     if not lines or lines[0] != "segtraj v1 monomial":
         raise ValueError("bad segment file header")
     if len(lines) < 3 or not lines[1].startswith("order ") \
@@ -140,13 +149,22 @@ def loads_segments(text: str) -> SplineTrajectory:
     segments = []
     for _ in range(count):
         if idx + 3 >= len(lines) or not lines[idx].startswith("seg "):
-            raise ValueError(f"expected 'seg' at line {idx + 1}")
-        taus.append(float(lines[idx].split()[1]))
+            where = f"line {numbers[idx]}" if idx < len(lines) else "the end"
+            raise ValueError(f"expected 'seg' and three axis lines at {where}")
+        tau = float(lines[idx].split()[1])
+        # A negated range test, so that NaN fails it too.
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"line {numbers[idx]}: segment duration {tau} "
+                             "is not finite and positive")
+        taus.append(tau)
         polys = []
         for off, tag in enumerate("xyz"):
+            no = numbers[idx + 1 + off]
             parts = lines[idx + 1 + off].split()
             if parts[0] != tag:
-                raise ValueError(f"expected axis {tag} at line {idx + 2 + off}")
+                raise ValueError(f"expected axis {tag} at line {no}")
+            if len(parts) == 1:
+                raise ValueError(f"line {no}: axis {tag} has no coefficients")
             polys.append(Poly1(tuple(float(v) for v in parts[1:])))
         segments.append((polys[0], polys[1], polys[2]))
         idx += 4

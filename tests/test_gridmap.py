@@ -315,3 +315,37 @@ def test_collision_fine_resample_corpus():
             if not grid.is_free_at(p):
                 misses.append((accepted, float(ts[i]), p))
     assert misses == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"v_max": -1.0}, {"v_max": 0.0}, {"v_max": math.nan},
+    {"v_max": math.inf}, {"a_max": 0.0}, {"a_max": -math.inf},
+    {"j_max": math.nan}, {"v_max": 2.0, "a_max": -0.5},
+])
+def test_dyn_bounds_reject_non_positive_or_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite and positive"):
+        DynBounds(**kwargs)
+
+
+def test_dyn_bounds_accept_positive_or_absent():
+    b = DynBounds(v_max=2.0, j_max=1e-3)
+    assert (b.v_max, b.a_max, b.j_max) == (2.0, None, 1e-3)
+    assert DynBounds() == DynBounds(None, None, None)
+
+
+def test_any_free_in_box_uses_floor_convention():
+    # Only cell (1, 1) is free: it covers [0.5, 1.0) x [0.5, 1.0).
+    g = grid_from_rows(["111", "101", "111"])
+    assert g.any_free_in_box((0.6, 0.6, 0.1), (0.9, 0.9, 0.1))
+    # A closed box whose upper face lies on x = 0.5 meets cell 1 there.
+    assert g.any_free_in_box((0.2, 0.6, 0.1), (0.5, 0.9, 0.1))
+    # Its lower face on x = 1.0 lies in cell 2, which is occupied.
+    assert not g.any_free_in_box((1.0, 0.6, 0.1), (1.4, 0.9, 0.1))
+    assert not g.any_free_in_box((0.0, 0.0, 0.1), (0.4, 1.4, 0.1))
+    # Boxes reaching past the stored cells, or wholly outside them.
+    assert g.any_free_in_box((-1e300, -1e300, -1e300), (1e300, 1e300, 1e300))
+    assert not g.any_free_in_box((5.0, 5.0, 0.1), (6.0, 6.0, 0.1))
+    unknown = grid_from_rows(["111", "121", "111"])
+    assert not unknown.any_free_in_box((0.6, 0.6, 0.1), (0.9, 0.9, 0.1))
+    assert unknown.any_free_in_box((0.6, 0.6, 0.1), (0.9, 0.9, 0.1),
+                                   unknown_is_free=True)

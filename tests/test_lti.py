@@ -6,7 +6,9 @@ Oracles used here and nowhere in the implementation:
   - a boundary-interpolation + dense-quadrature oracle for the order-3
     fixed-horizon cost (the degree-5 interpolant through six boundary
     conditions is unique, so its jerk integral is the optimal effort),
-  - grid-scan + golden-section minimization for the optimal horizon.
+  - grid-scan + golden-section minimization for the optimal horizon,
+  - for order 2, the Gramian quadratic form solved with numpy and the
+    printed acceleration-control cost scanned over log-spaced horizons.
 """
 
 import math
@@ -15,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+import kinoplan.lti as lti
 from kinoplan.lti import (
     BoundaryPair,
     NoFiniteMinimumError,
@@ -427,3 +430,102 @@ def test_optimal_time_dominates_fixed_grid():
         for T in np.linspace(0.05, 30.0, 400):
             c = effort_between(x0, xf, float(T)) + rho * float(T)
             assert sol.cost_total <= c + 1e-7 * (1 + c)
+
+
+# ------------------------------------------------- order-2 closed forms
+
+
+def test_order2_effort_matches_gramian_solve():
+    rng = random.Random(81)
+    for _ in range(1000):
+        x0 = rand_state(rng, 2)
+        xf = rand_state(rng, 2)
+        T = 10.0 ** rng.uniform(-3.0, 3.0)
+        F, _ = state_transition(2, T)
+        delta = xf.as_vector() - F @ x0.as_vector()
+        want = float(delta @ np.linalg.solve(gramian(2, T), delta))
+        assert effort_between(x0, xf, T) == pytest.approx(want, rel=1e-10)
+
+
+def _printed_total(x0, xf, rho, ts):
+    """Printed order-2 cost plus rho * T, vectorized over horizons ts."""
+    p0, v0 = (np.array(d) for d in x0.derivs)
+    pf, vf = (np.array(d) for d in xf.derivs)
+    ts = np.asarray(ts, dtype=float)
+    dp = pf[None, :] - p0[None, :] - ts[:, None] * v0[None, :]
+    dv = vf - v0
+    return (12.0 * (dp * dp).sum(1) / ts ** 3 - 12.0 * (dp @ dv) / ts ** 2
+            + 4.0 * (dv @ dv) / ts + rho * ts)
+
+
+def _scan_min(x0, xf, rho, lo):
+    """Minimum over T >= lo: a log-spaced scan, every local minimum of the
+    scan refined by golden section, and the endpoint lo itself."""
+    ts = np.geomspace(lo, 1e3, 4000)
+    vals = _printed_total(x0, xf, rho, ts)
+
+    def f(t):
+        return float(_printed_total(x0, xf, rho, [t])[0])
+
+    best = float(vals[0])
+    for i in range(1, len(ts) - 1):
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+            t = _golden_min(f, float(ts[i - 1]), float(ts[i + 1]))
+            best = min(best, f(t), float(vals[i]))
+    return best
+
+
+def test_order2_optimal_cost_matches_dense_scan():
+    # Odd pairs get a floor above the scan's free minimizer.
+    rng = random.Random(83)
+    active = 0
+    for k in range(1000):
+        x0 = rand_state(rng, 2)
+        xf = rand_state(rng, 2)
+        rho = 10.0 ** rng.uniform(-1.0, 1.0)
+        t_lower = 0.0
+        if k % 2:
+            ts = np.geomspace(1e-3, 1e3, 4000)
+            t_free = float(ts[np.argmin(_printed_total(x0, xf, rho, ts))])
+            t_lower = t_free * rng.uniform(1.1, 4.0)
+            active += lqmt_optimal_time(x0, xf, rho, t_lower).T == t_lower
+        want = _scan_min(x0, xf, rho, max(t_lower, 1e-3))
+        got = lqmt_optimal_cost(x0, xf, rho, t_lower)
+        assert got == pytest.approx(want, rel=1e-9)
+    assert active >= 480
+
+
+def test_order2_tiny_rho_takes_real_roots_fallback(monkeypatch):
+    calls = []
+    real_roots = lti.real_roots
+
+    def counting_real_roots(p, *args):
+        calls.append(p)
+        return real_roots(p, *args)
+
+    monkeypatch.setattr(lti, "real_roots", counting_real_roots)
+    # Coasting at unit speed meets xf exactly at T = 1, so the effort there
+    # is zero; with rho far below the cutoff the quartic term is stripped.
+    x0 = State.of((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    xf = State.of((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    rho = 1e-14
+    sol = lqmt_optimal_time(x0, xf, rho)
+    assert len(calls) == 1 and calls[0].coeffs[-1] == rho
+    assert sol.T == pytest.approx(1.0, rel=1e-12)
+    assert lqmt_optimal_cost(x0, xf, rho) == sol.cost_total
+    assert len(calls) == 2
+    # An ordinary rho takes the depressed-quartic path instead.
+    lqmt_optimal_cost(x0, xf, 1.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_constructors_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        State.of((bad, 0.0, 0.0), (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        State.of((0.0, 0.0, 0.0), (0.0, 0.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        State.rest(2, (0.0, bad, 0.0))
+    # The plain constructor stays unchecked for the search's hot path.
+    assert State(((bad, 0.0, 0.0),)).pos[0] is bad

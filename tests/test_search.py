@@ -360,6 +360,40 @@ def test_no_path_when_goal_walled_off():
     assert res.primitives == ()
 
 
+def _goal_box_grid(box_cell=CellState.OCCUPIED, free_corner=False):
+    # 20 x 20 free cells of 0.5; the goal box [8.5, 9.5]^2 meets cells
+    # 17..19 per axis (19 only at its closed upper faces).
+    cells = bytearray(400)
+    for iy in range(17, 20):
+        for ix in range(17, 20):
+            cells[ix + 20 * iy] = box_cell
+    if free_corner:
+        cells[19 + 20 * 19] = CellState.FREE
+    return OccupancyGrid((0.0, 0.0, 0.0), 0.5, (20, 20, 1), bytes(cells))
+
+
+def test_unreachable_goal_box_is_no_path_at_once():
+    start, goal = State.rest(2, (1.0, 1.0, 0.25)), GoalSpec((9.0, 9.0, 0.25))
+    cfg = cfg_2d(goal_tol=0.5, rest=True)
+    res = plan(start, goal, cfg, _goal_box_grid())
+    assert res.status is PlanStatus.NO_PATH
+    assert (res.expanded, res.primitives, res.total_cost) == (0, (), math.inf)
+    # Unknown cells block the goal unless they count as free.
+    unknown = _goal_box_grid(CellState.UNKNOWN)
+    assert plan(start, goal, cfg, unknown).expanded == 0
+    cfg_unknown = dataclasses.replace(cfg, unknown_is_free=True)
+    assert plan(start, goal, cfg_unknown, unknown).status is PlanStatus.SOLVED
+
+
+def test_goal_box_meeting_one_free_cell_is_searched():
+    # Cell (19, 19) meets the closed box only at its corner (9.5, 9.5).
+    res = plan(State.rest(2, (1.0, 1.0, 0.25)), GoalSpec((9.0, 9.0, 0.25)),
+               cfg_2d(Heuristic.ZERO, goal_tol=0.5, rest=True,
+                      max_expansions=50), _goal_box_grid(free_corner=True))
+    assert res.status is PlanStatus.EXPANSION_LIMIT
+    assert res.expanded == 50
+
+
 def test_expansion_limit():
     res = plan(State.rest(2), GoalSpec((10.0, 10.0, 0.0)),
                cfg_2d(Heuristic.ZERO, max_expansions=5), FREE_60)
@@ -398,6 +432,16 @@ def test_plan_needs_vmax():
 def test_goal_spec_rejects_non_finite(p_g, v_g):
     with pytest.raises(ValueError, match="finite"):
         GoalSpec(p_g, v_g)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tau", math.inf), ("tau", math.nan), ("rho", math.nan),
+    ("rho", math.inf), ("goal_pos_tol", math.inf), ("goal_pos_tol", math.nan),
+    ("heuristic_weight", math.nan), ("heuristic_weight", math.inf),
+])
+def test_planner_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        dataclasses.replace(cfg_2d(), **{field: value})
 
 
 def test_goal_reached_semantics():

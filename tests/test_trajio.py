@@ -172,3 +172,30 @@ def test_segments_random_roundtrip():
         text = dumps_segments(prims)
         back = loads_segments(text)
         assert dumps_segments(back) == text
+
+
+def _one_segment(seg="seg 1.0", x="x 0.0 1.0"):
+    return "\n".join(["segtraj v1 monomial", "order 2", "count 1", seg, x,
+                      "y 0.0", "z 0.0"]) + "\n"
+
+
+def test_segments_parse_one_segment():
+    traj = loads_segments(_one_segment())
+    assert traj.seg_times == (1.0,)
+    assert traj.segments[0][0].coeffs == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("seg", ["seg nan", "seg inf", "seg -inf",
+                                 "seg 0.0", "seg -1.0"])
+def test_segments_reject_bad_duration(seg):
+    with pytest.raises(ValueError, match="line 4: segment duration"):
+        loads_segments(_one_segment(seg=seg))
+
+
+def test_segments_reject_axis_without_coefficients():
+    with pytest.raises(ValueError, match="line 5: axis x has no coeff"):
+        loads_segments(_one_segment(x="x"))
+    # Blank lines are skipped, but the reported number is the file's own.
+    text = _one_segment(x="x").replace("count 1\n", "count 1\n\n")
+    with pytest.raises(ValueError, match="line 6: axis x"):
+        loads_segments(text)
