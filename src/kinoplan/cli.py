@@ -71,10 +71,13 @@ def _require_positive(args, names: list[str]) -> None:
             raise UsageError(f"{name} must be positive, got {val}")
 
 
+def _control_dims(grid: OccupancyGrid) -> int:
+    return 2 if grid.dims[2] == 1 else 3
+
+
 def _planner_config(args, grid: OccupancyGrid, heuristic: Heuristic,
                     weight: float) -> PlannerConfig:
-    dims = 2 if grid.dims[2] == 1 else 3
-    control_set = make_control_set(args.umax, args.mu, dims)
+    control_set = make_control_set(args.umax, args.mu, _control_dims(grid))
     bounds = DynBounds(v_max=args.vmax, a_max=args.amax)
     return PlannerConfig(order=args.order, tau=args.tau, rho=args.rho,
                          control_set=control_set, bounds=bounds,
@@ -194,12 +197,19 @@ def cmd_bench(args) -> int:
     order = ("zero", "maxspeed", "lqmt")
     results: dict[str, list[PlanResult]] = {name: [] for name in order}
     report_lines = ["map,case,heuristic,status,cost,expanded,seconds"]
+    # A config depends on the map only through its control-set
+    # dimensionality; cases that share a config share its edge-table rows.
+    configs: dict[tuple[int, str], PlannerConfig] = {}
     for idx, (map_name, start_text, goal_text) in enumerate(cases):
         grid = load_grid(os.path.join(args.maps, map_name))
         start = _parse_state(start_text, args.order)
         goal = GoalSpec(tuple(_parse_floats(goal_text, (3,), "goal")))
         for name in order:
-            cfg = _planner_config(args, grid, _HEURISTICS[name], 1.0)
+            ckey = (_control_dims(grid), name)
+            if ckey not in configs:
+                configs[ckey] = _planner_config(args, grid, _HEURISTICS[name],
+                                                1.0)
+            cfg = configs[ckey]
             try:
                 res = plan(start, goal, cfg, grid)
             except StartInfeasibleError:

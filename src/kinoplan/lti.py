@@ -367,12 +367,16 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
                   + (a2 * a2 + a2 * b2 + b2 * b2))
         quartic = (-36.0 * dot_pp, 24.0 * dot_vs, -4.0 * dot_vv, 0.0, rho)
         big = max(36.0 * dot_pp, abs(24.0 * dot_vs), 4.0 * dot_vv, rho)
-        if rho < LEADING_COEFF_CUTOFF * big:
+        stripped = rho < LEADING_COEFF_CUTOFF * big
+        if stripped:
             # The quartic term is negligible: let real_roots strip it.
             candidates.extend(real_roots(Poly1(quartic)))
-        else:
+        if not stripped or not any(c >= T_lower and c > MIN_SOLVE_TIME
+                                   for c in candidates):
             # No cubic term, so the monic quartic is already depressed.
-            # Only roots near or above the floor are worth polishing.
+            # Only roots near or above the floor are worth polishing. This
+            # also serves a stripped quartic whose only root above the
+            # floor is the large one the quartic term makes.
             lo = max(T_lower, MIN_SOLVE_TIME) * (1.0 - _POLISH_SLACK)
             candidates.extend(
                 _polish(quartic, r) for r in _roots_quartic_depressed(

@@ -6,15 +6,18 @@ far, and a key is reopened whenever a strictly cheaper arrival shows up. Ties
 on f prefer the larger g (deeper progress), then the lower position of the
 edge in its parent's list of feasible successors.
 
-Successors come from a per-plan edge table (EdgeTable). Holding a control
-for tau moves every derivative of order one and up independently of the
-start position, so the table is keyed on a state's exact higher derivatives
+Successors come from an edge table (EdgeTable). Holding a control for tau
+moves every derivative of order one and up independently of the start
+position, so the table is keyed on a state's exact higher derivatives
 s.derivs[1:] and holds, for each control that passes check_dynamics, the
 edge cost, the end state's higher derivatives and their part of the lattice
 key, the addends of the end position, and the collision-sample
 displacements from the start position. Expanding a state then costs one
 dictionary lookup, one cell test per sample and a few float additions per
-edge; the primitives of the returned plan are rebuilt with propagate.
+edge; the primitives of the returned plan are built from the table's
+entries. The rows live on the PlannerConfig, so plans that share a config,
+a grid resolution and the start's higher derivatives share them: reuse one
+PlannerConfig across queries.
 
 Two admissible heuristics are provided besides the zero one: a max-speed
 time bound scaled by rho, and the full free-horizon minimum-effort cost to
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Optional
@@ -90,6 +93,11 @@ class PlannerConfig:
     heuristic_weight: float = 1.0
     max_expansions: int = 1_000_000
     unknown_is_free: bool = False
+    # EdgeTable's rows for one (grid resolution, start derivs[1:]) pair, as
+    # (pair, rows); a cache, not part of the config's value.
+    _edge_rows: Optional[tuple] = field(default=None, init=False,
+                                        compare=False, hash=False,
+                                        repr=False)
 
     def __post_init__(self):
         if self.order not in (2, 3):
@@ -185,7 +193,7 @@ Edge = tuple[Vec3, float, State, LatticeKey]
 
 
 class EdgeTable:
-    """Feasible edges out of lattice states, built once per plan and key.
+    """Feasible edges out of lattice states, built once per config and key.
 
     A row, keyed on the exact floats s.derivs[1:], holds one entry per
     control that passes check_dynamics, in control-set order: the control,
@@ -195,6 +203,14 @@ class EdgeTable:
     from propagate and check_dynamics on the first state with those higher
     derivatives; every result derived from a row equals, bit for bit, what
     the primitive built at the state itself gives.
+
+    Beyond the config, a row depends only on the grid resolution (sample
+    offsets) and the origin's higher derivatives (key part), so the rows
+    are kept on the config for that pair and taken over by the next table
+    made with the same pair; another pair starts a fresh set. The grid's
+    cells and the origin's position are read per table, never stored in a
+    row. A table keeps the row dict it started with, so plans that run at
+    once on one config stay correct; they may only build a row twice.
     """
 
     def __init__(self, cfg: PlannerConfig, grid: OccupancyGrid, origin: State):
@@ -203,7 +219,12 @@ class EdgeTable:
         self._origin = origin
         self._pos_res = lattice_resolutions(cfg.order, cfg.control_set.d_u,
                                             cfg.tau)[0]
-        self._rows: dict[tuple[Vec3, ...], list] = {}
+        pair = (grid.resolution, origin.derivs[1:])
+        slot = cfg._edge_rows
+        if slot is None or slot[0] != pair:
+            slot = (pair, {})
+            object.__setattr__(cfg, "_edge_rows", slot)
+        self._rows: dict[tuple[Vec3, ...], list] = slot[1]
 
     def _build_row(self, s: State) -> list:
         cfg = self._cfg
@@ -250,8 +271,8 @@ class EdgeTable:
 def get_successors(s: State, cfg: PlannerConfig,
                    grid: OccupancyGrid) -> list[MotionPrimitive]:
     """Feasible primitives out of s, in control-set order."""
-    return [propagate(s, u, cfg.tau, cfg.rho)
-            for u, _cost, _end, _key in EdgeTable(cfg, grid, s).successors(s)]
+    return [MotionPrimitive(s, u, cfg.tau, cost)
+            for u, cost, _end, _key in EdgeTable(cfg, grid, s).successors(s)]
 
 
 def _static_within_bounds(s: State, bounds: DynBounds) -> bool:
@@ -295,15 +316,16 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
 
     hfun = _heuristic_fn(goal, cfg)
     weight = cfg.heuristic_weight
-    d_u, tau, rho = cfg.control_set.d_u, cfg.tau, cfg.rho
+    d_u, tau = cfg.control_set.d_u, cfg.tau
     origin = start
     key0 = lattice_key(start, d_u, tau, origin)
     edges = EdgeTable(cfg, grid, origin)
 
     g_best: dict[LatticeKey, float] = {key0: 0.0}
     state_of: dict[LatticeKey, State] = {key0: start}
-    # Parent key, parent state and control of the cheapest arrival.
-    arrival: dict[LatticeKey, tuple[LatticeKey, State, Vec3]] = {}
+    # Parent key, parent state, control and edge cost of the cheapest
+    # arrival.
+    arrival: dict[LatticeKey, tuple[LatticeKey, State, Vec3, float]] = {}
     closed: set[LatticeKey] = set()
     counter = 0
     heap: list[tuple[float, float, int, int, LatticeKey]] = [
@@ -330,14 +352,14 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
         expanded += 1
         for idx, (u, cost, s2, k2) in enumerate(edges.successors(s)):
             if edge_hook is not None:
-                edge_hook(s, propagate(s, u, tau, rho))
+                edge_hook(s, MotionPrimitive(s, u, tau, cost))
             g2 = g + cost
             old = g_best.get(k2)
             if old is not None and g2 >= old - G_DOMINANCE_MARGIN:
                 continue
             g_best[k2] = g2
             state_of[k2] = s2
-            arrival[k2] = (key, s, u)
+            arrival[k2] = (key, s, u, cost)
             closed.discard(k2)
             counter += 1
             heappush(heap, (g2 + weight * hfun(s2), -g2, idx, counter, k2))
@@ -349,8 +371,8 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
     chain: list[MotionPrimitive] = []
     key = goal_key
     while key != key0:
-        key, parent, u = arrival[key]
-        chain.append(propagate(parent, u, tau, rho))
+        key, parent, u, cost = arrival[key]
+        chain.append(MotionPrimitive(parent, u, tau, cost))
     chain.reverse()
     total = 0.0
     for prim in chain:

@@ -85,11 +85,14 @@ def corpus():
     goal = kp.GoalSpec(GOAL_P)
     cases = []
     t0 = time.perf_counter()
+    # One config per heuristic, shared by every map, as a caller planning
+    # many queries would hold it: the maps share its edge-table rows.
+    configs = {h: corpus_config(h) for h in HEURISTICS}
     for seed in CORPUS_SEEDS:
         grid = corpus_map(seed)
         results = {}
         for h in HEURISTICS:
-            results[h] = kp.plan(start, goal, corpus_config(h), grid)
+            results[h] = kp.plan(start, goal, configs[h], grid)
         cases.append({"seed": seed, "grid": grid, "results": results})
     wall = time.perf_counter() - t0
     return {"cases": cases, "wall_seconds": wall,

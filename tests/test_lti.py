@@ -519,6 +519,21 @@ def test_order2_tiny_rho_takes_real_roots_fallback(monkeypatch):
     assert len(calls) == 2
 
 
+def test_order2_tiny_rho_keeps_the_large_horizon():
+    # Rest to rest: with the quartic term stripped, rho T^4 = 36 |dp|^2 has
+    # no root left, so the full quartic's roots are taken instead.
+    x0 = State.rest(2)
+    xf = State.rest(2, (1.0, 0.0, 0.0))
+    rho = 1e-14
+    sol = lqmt_optimal_time(x0, xf, rho)
+    assert sol.T == pytest.approx((36.0 / rho) ** 0.25, rel=1e-9)
+    end = sol.state_at(sol.T, 2)
+    assert end.pos == pytest.approx(xf.pos, abs=1e-9)
+    assert end.vel == pytest.approx(xf.vel, abs=1e-9)
+    assert sol.cost_total == pytest.approx(4.0 * rho * sol.T / 3.0, rel=1e-9)
+    assert lqmt_optimal_cost(x0, xf, rho) == sol.cost_total
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_state_constructors_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):

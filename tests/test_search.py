@@ -302,7 +302,107 @@ def test_non_dyadic_keys_carry_several_float_states():
     assert any(len(v) > 1 for v in by_key.values())
 
 
-# ----------------------------------------------------------- heuristics
+# ------------------------------------------- rows shared across plans
+
+
+def plan_trace(start, goal, cfg, grid):
+    """What a plan shows: outcome, chain and the edge_hook stream."""
+    edges = []
+    res = plan(start, goal, cfg, grid,
+               edge_hook=lambda s, prim: edges.append((s, prim)))
+    return (res.status, res.expanded, repr(res.total_cost), res.primitives,
+            edges)
+
+
+def interleaved_queries():
+    """(config, start, goal, grid) for one shared corpus config and one
+    shared non-dyadic config: corpus maps, a finer grid, moving starts
+    (-0.0 included) and the non-dyadic lattice, in turn. Each query after
+    the first of a round that repeats the previous query's grid resolution
+    and start higher derivatives takes over its rows."""
+    corpus = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    non_dyadic = dataclasses.replace(
+        lattice_cfg(tau=0.3, rho=0.7, mu=2, v_max=1.0), max_expansions=100)
+    goal = GoalSpec((9.0, 9.0, 0.25))
+    near = GoalSpec((3.5, 3.0, 0.25))
+    velocities = [(1.0, 0.0, 0.0), (-0.0, -0.0, 0.0), (-0.0, 0.5, 0.0),
+                  (0.5, -0.5, 0.0)]
+    out = []
+    for k, vel in enumerate(velocities):
+        grid, rest, _ = corpus_case(100 + k)
+        grid2, _, _ = corpus_case(150 + k)
+        fine, fine2 = (carve_free(random_grid((40, 40, 1), 0.25, 0.2, seed=s,
+                                              origin=(0.0, 0.0, 0.125)),
+                                  rest.pos, goal.p_g)
+                       for s in (200 + k, 250 + k))
+        moving = State.of(rest.pos, vel)
+        small, small2 = (carve_free(random_grid((10, 10, 1), 0.5, 0.2, seed=s),
+                                    (1.0, 1.0, 0.25), near.p_g)
+                         for s in (300 + k, 350 + k))
+        nd_rest = State.rest(2, (1.0, 1.0, 0.25))
+        nd_moving = State.of(nd_rest.pos, (0.15, -0.0, 0.0))
+        out += [
+            (corpus, rest, goal, grid),
+            (corpus, moving, goal, grid),
+            (corpus, moving, goal, grid2),
+            (corpus, rest, goal, fine),
+            (corpus, rest, goal, fine2),
+            (non_dyadic, nd_moving, near, small),
+            (non_dyadic, nd_rest, near, small),
+            (non_dyadic, nd_rest, near, small2),
+        ]
+    return out
+
+
+def test_shared_config_plans_equal_fresh_config_plans():
+    queries = interleaved_queries()
+    statuses = set()
+    reused = 0
+    for cfg, start, goal, grid in queries:
+        before = cfg._edge_rows
+        got = plan_trace(start, goal, cfg, grid)
+        reused += before is not None and cfg._edge_rows is before
+        assert got == plan_trace(start, goal, dataclasses.replace(cfg), grid)
+        statuses.add(got[0])
+    assert statuses == set(PlanStatus)
+    # Three queries a round, and the -0.0 start after the rest start.
+    assert reused >= 3 * 4 + 1
+
+
+def test_config_rows_are_not_part_of_its_value():
+    cfg = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    before = (repr(cfg), hash(cfg))
+    twin = dataclasses.replace(cfg)
+    grid, start, goal = corpus_case(3)
+    plan(start, goal, cfg, grid)
+    rows = cfg._edge_rows
+    assert rows is not None and rows[1]
+    assert (repr(cfg), hash(cfg)) == before
+    assert cfg == twin and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
+    assert "_edge_rows" not in repr(cfg)
+    # replace starts an empty table and leaves the original's alone.
+    other = dataclasses.replace(cfg, max_expansions=10)
+    assert other._edge_rows is None
+    plan(start, goal, other, grid)
+    assert other._edge_rows[1] and cfg._edge_rows is rows
+
+
+def test_shared_rows_stay_bounded():
+    """The non-dyadic lattice carries several float states per key, yet
+    the rows one config keeps level off as plans go on."""
+    cfg = dataclasses.replace(lattice_cfg(tau=0.3, rho=0.7, mu=2, v_max=1.0),
+                              max_expansions=30)
+    rng = random.Random(5)
+    counts = []
+    expanded = 0
+    for k in range(120):
+        sp = (rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5), 0.25)
+        gp = (rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5), 0.25)
+        grid = carve_free(random_grid((10, 10, 1), 0.5, 0.2, seed=k), sp, gp)
+        expanded += plan(State.rest(2, sp), GoalSpec(gp), cfg, grid).expanded
+        counts.append(len(cfg._edge_rows[1]))
+    assert counts[-1] < expanded / 20
+    assert counts[-1] - counts[59] <= counts[59] // 4
 
 
 def test_h_max_speed_values():
