@@ -17,11 +17,16 @@ dictionary lookup, one cell test per sample and a few float additions per
 edge; the primitives of the returned plan are built from the table's
 entries. The rows live on the PlannerConfig, so plans that share a config,
 a grid resolution and the start's higher derivatives share them: reuse one
-PlannerConfig across queries.
+PlannerConfig across queries toward the same goal.
 
-Two admissible heuristics are provided besides the zero one: a max-speed
-time bound scaled by rho, and the full free-horizon minimum-effort cost to
-the goal state.
+Beside the rows, the config keeps one State object per float state a plan
+pushed, and plan hands out that object for every later arrival at the same
+floats, so plans that share the rows also share their states. Two
+admissible heuristics are provided besides the zero one: a max-speed time
+bound scaled by rho, and the full free-horizon minimum-effort cost to the
+goal state. The latter depends only on the state's exact floats, the goal
+and the config, not on the map, so h_lqmt memoizes it per goal beside the
+rows: plans toward one goal solve each float state once.
 """
 
 from __future__ import annotations
@@ -45,6 +50,12 @@ REST_TOL = 1e-9
 
 # A cheaper arrival must beat the incumbent by more than this to reopen.
 G_DOMINANCE_MARGIN = 1e-12
+
+# A plan that finds more shared states than this on its config starts its
+# rows, states and heuristic memo afresh. Starts at many positions push
+# float states that seldom repeat, and the holder would otherwise grow by
+# every state they push; the corpus keeps about 2,000.
+MAX_SHARED_STATES = 1 << 14
 
 
 class MissingBoundError(ValueError):
@@ -93,11 +104,11 @@ class PlannerConfig:
     heuristic_weight: float = 1.0
     max_expansions: int = 1_000_000
     unknown_is_free: bool = False
-    # EdgeTable's rows for one (grid resolution, start derivs[1:]) pair, as
-    # (pair, rows); a cache, not part of the config's value.
-    _edge_rows: Optional[tuple] = field(default=None, init=False,
-                                        compare=False, hash=False,
-                                        repr=False)
+    # The _SharedRows of the last (grid resolution, start derivs[1:]) pair
+    # planned for; a cache, not part of the config's value.
+    _edge_rows: Optional["_SharedRows"] = field(default=None, init=False,
+                                                compare=False, hash=False,
+                                                repr=False)
 
     def __post_init__(self):
         if self.order not in (2, 3):
@@ -150,7 +161,25 @@ def h_lqmt(s: State, goal: GoalSpec, cfg: PlannerConfig,
     The horizon is floored by the max-speed bound, so this dominates
     h_max_speed while staying a relaxation of the lattice problem. target,
     when given, must be goal_state(goal, cfg.order); plan builds it once.
+
+    Once a plan has run on cfg, values are memoized beside its edge rows,
+    keyed on the exact floats s.derivs, for one goal at a time (compared by
+    value): a call toward another goal starts an empty memo, and so does a
+    plan that starts the rows afresh (another grid resolution or start
+    higher derivatives, or more than MAX_SHARED_STATES states kept). The
+    memo holds one float per distinct state solved for that goal; a hit
+    returns the float the solve gave.
     """
+    shared = cfg._edge_rows
+    memo = None
+    if shared is not None:
+        memo_goal, memo = shared.h_memo
+        if memo_goal is not goal and memo_goal != goal:
+            memo = {}
+            shared.h_memo = (goal, memo)
+        h = memo.get(s.derivs)
+        if h is not None:
+            return h
     v_max = cfg.bounds.v_max
     p = s.pos
     d = max(abs(goal.p_g[0] - p[0]), abs(goal.p_g[1] - p[1]),
@@ -158,7 +187,10 @@ def h_lqmt(s: State, goal: GoalSpec, cfg: PlannerConfig,
     t_lower = d / v_max if v_max is not None else 0.0
     if target is None:
         target = goal_state(goal, cfg.order)
-    return lqmt_optimal_cost(s, target, cfg.rho, t_lower)
+    h = lqmt_optimal_cost(s, target, cfg.rho, t_lower)
+    if memo is not None:
+        memo[s.derivs] = h
+    return h
 
 
 def _heuristic_fn(goal: GoalSpec, cfg: PlannerConfig) -> Callable[[State], float]:
@@ -192,6 +224,20 @@ def goal_reached(s: State, goal: GoalSpec, cfg: PlannerConfig) -> bool:
 Edge = tuple[Vec3, float, State, LatticeKey]
 
 
+class _SharedRows:
+    """What plans on one config share for one (grid resolution, start
+    derivs[1:]) pair: the edge rows, one State per float state pushed
+    (keyed on its derivs), and h_lqmt's (goal, memo) for the last goal."""
+
+    __slots__ = ("pair", "rows", "states", "h_memo")
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.rows: dict[tuple[Vec3, ...], list] = {}
+        self.states: dict[tuple[Vec3, ...], State] = {}
+        self.h_memo: tuple[Optional[GoalSpec], dict] = (None, {})
+
+
 class EdgeTable:
     """Feasible edges out of lattice states, built once per config and key.
 
@@ -207,24 +253,32 @@ class EdgeTable:
     Beyond the config, a row depends only on the grid resolution (sample
     offsets) and the origin's higher derivatives (key part), so the rows
     are kept on the config for that pair and taken over by the next table
-    made with the same pair; another pair starts a fresh set. The grid's
-    cells and the origin's position are read per table, never stored in a
-    row. A table keeps the row dict it started with, so plans that run at
+    made with the same pair; another pair starts a fresh set, and so does
+    a holder with more than MAX_SHARED_STATES states, unless _install is
+    False, as in get_successors: then the table keeps a fresh set of its
+    own and leaves the config's alone. The grid's cells and the
+    origin's position are read per table, never stored in a row. A table
+    keeps the row and state dicts it started with, so plans that run at
     once on one config stay correct; they may only build a row twice.
     """
 
-    def __init__(self, cfg: PlannerConfig, grid: OccupancyGrid, origin: State):
+    def __init__(self, cfg: PlannerConfig, grid: OccupancyGrid, origin: State,
+                 _install: bool = True):
         self._cfg = cfg
         self._grid = grid
         self._origin = origin
         self._pos_res = lattice_resolutions(cfg.order, cfg.control_set.d_u,
                                             cfg.tau)[0]
         pair = (grid.resolution, origin.derivs[1:])
-        slot = cfg._edge_rows
-        if slot is None or slot[0] != pair:
-            slot = (pair, {})
-            object.__setattr__(cfg, "_edge_rows", slot)
-        self._rows: dict[tuple[Vec3, ...], list] = slot[1]
+        shared = cfg._edge_rows
+        if (shared is None or shared.pair != pair
+                or len(shared.states) > MAX_SHARED_STATES):
+            shared = _SharedRows(pair)
+            if _install:
+                object.__setattr__(cfg, "_edge_rows", shared)
+        self._rows = shared.rows
+        # One State per float state, for plan to hand out on every arrival.
+        self._states = shared.states
 
     def _build_row(self, s: State) -> list:
         cfg = self._cfg
@@ -270,9 +324,14 @@ class EdgeTable:
 
 def get_successors(s: State, cfg: PlannerConfig,
                    grid: OccupancyGrid) -> list[MotionPrimitive]:
-    """Feasible primitives out of s, in control-set order."""
+    """Feasible primitives out of s, in control-set order.
+
+    Takes the config's rows when they were made for this grid resolution
+    and s's higher derivatives; otherwise builds its row apart from them.
+    """
+    table = EdgeTable(cfg, grid, s, _install=False)
     return [MotionPrimitive(s, u, cfg.tau, cost)
-            for u, cost, _end, _key in EdgeTable(cfg, grid, s).successors(s)]
+            for u, cost, _end, _key in table.successors(s)]
 
 
 def _static_within_bounds(s: State, bounds: DynBounds) -> bool:
@@ -320,6 +379,7 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
     origin = start
     key0 = lattice_key(start, d_u, tau, origin)
     edges = EdgeTable(cfg, grid, origin)
+    states = edges._states
 
     g_best: dict[LatticeKey, float] = {key0: 0.0}
     state_of: dict[LatticeKey, State] = {key0: start}
@@ -358,6 +418,9 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
             if old is not None and g2 >= old - G_DOMINANCE_MARGIN:
                 continue
             g_best[k2] = g2
+            # The shared object, so the heuristic memo, state_of, arrival
+            # and the returned chain hold one State per float state.
+            s2 = states.setdefault(s2.derivs, s2)
             state_of[k2] = s2
             arrival[k2] = (key, s, u, cost)
             closed.discard(k2)

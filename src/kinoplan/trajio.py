@@ -129,47 +129,70 @@ def write_segments(traj: Trajectory, path: str) -> None:
 def loads_segments(text: str) -> SplineTrajectory:
     """Parse the segment format back into a piecewise polynomial.
 
-    Raises ValueError naming the 1-based line of a malformed entry: a
-    duration that is not finite and positive, or an axis without
-    coefficients.
+    Raises ValueError naming the 1-based line of the first malformed entry
+    (one past the last line when the file ends early): a bad header, an
+    order below 1 or a negative count, a duration that is not finite and
+    positive, an axis without coefficients, a value that is not a finite
+    number, or lines beyond the declared segments.
     """
     numbered = [(no, ln) for no, ln in enumerate(text.split("\n"), 1)
                 if ln.strip()]
-    numbers = [no for no, _ln in numbered]
-    lines = [ln for _no, ln in numbered]
-    if not lines or lines[0] != "segtraj v1 monomial":
-        raise ValueError("bad segment file header")
-    if len(lines) < 3 or not lines[1].startswith("order ") \
-            or not lines[2].startswith("count "):
-        raise ValueError("missing order/count lines")
-    order = int(lines[1].split()[1])
-    count = int(lines[2].split()[1])
-    idx = 3
+    past_end = text.count("\n") + 1
+
+    def fail(idx: int, why: str):
+        no = numbered[idx][0] if idx < len(numbered) else past_end
+        raise ValueError(f"line {no}: {why}")
+
+    def fields(idx: int, tag: str) -> list[str]:
+        if idx >= len(numbered):
+            fail(idx, f"expected '{tag}', found the end of the file")
+        parts = numbered[idx][1].split()
+        if parts[0] != tag:
+            fail(idx, f"expected '{tag}'")
+        return parts[1:]
+
+    def number(idx: int, word: str, kind=float):
+        try:
+            return kind(word)
+        except ValueError:
+            fail(idx, f"{word!r} is not a valid {kind.__name__}")
+
+    def single(idx: int, tag: str, kind=float):
+        vals = fields(idx, tag)
+        if len(vals) != 1:
+            fail(idx, f"expected '{tag}' and one number")
+        return number(idx, vals[0], kind)
+
+    if not numbered or numbered[0][1] != "segtraj v1 monomial":
+        fail(0, "bad segment file header")
+    order = single(1, "order", int)
+    if order < 1:
+        fail(1, f"order {order} is below 1")
+    count = single(2, "count", int)
+    if count < 0:
+        fail(2, f"count {count} is negative")
     taus = []
     segments = []
+    idx = 3
     for _ in range(count):
-        if idx + 3 >= len(lines) or not lines[idx].startswith("seg "):
-            where = f"line {numbers[idx]}" if idx < len(lines) else "the end"
-            raise ValueError(f"expected 'seg' and three axis lines at {where}")
-        tau = float(lines[idx].split()[1])
+        tau = single(idx, "seg")
         # A negated range test, so that NaN fails it too.
         if not 0.0 < tau < math.inf:
-            raise ValueError(f"line {numbers[idx]}: segment duration {tau} "
-                             "is not finite and positive")
+            fail(idx, f"segment duration {tau} is not finite and positive")
         taus.append(tau)
         polys = []
-        for off, tag in enumerate("xyz"):
-            no = numbers[idx + 1 + off]
-            parts = lines[idx + 1 + off].split()
-            if parts[0] != tag:
-                raise ValueError(f"expected axis {tag} at line {no}")
-            if len(parts) == 1:
-                raise ValueError(f"line {no}: axis {tag} has no coefficients")
-            polys.append(Poly1(tuple(float(v) for v in parts[1:])))
+        for off, tag in enumerate("xyz", 1):
+            coeffs = fields(idx + off, tag)
+            if not coeffs:
+                fail(idx + off, f"axis {tag} has no coefficients")
+            vals = tuple(number(idx + off, c) for c in coeffs)
+            if not all(math.isfinite(v) for v in vals):
+                fail(idx + off, f"axis {tag} has a non-finite coefficient")
+            polys.append(Poly1(vals))
         segments.append((polys[0], polys[1], polys[2]))
         idx += 4
-    if len(taus) != count:
-        raise ValueError("segment count mismatch")
+    if idx < len(numbered):
+        fail(idx, f"more lines than the {count} segments declared")
     return SplineTrajectory(order, tuple(taus), tuple(segments))
 
 

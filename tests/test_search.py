@@ -10,9 +10,12 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 
+from kinoplan import search as search_module
 from kinoplan.gridmap import (CellState, DynBounds, OccupancyGrid,
                               check_dynamics, random_grid)
 from kinoplan.lattice import lattice_key, make_control_set, propagate
@@ -376,15 +379,17 @@ def test_config_rows_are_not_part_of_its_value():
     grid, start, goal = corpus_case(3)
     plan(start, goal, cfg, grid)
     rows = cfg._edge_rows
-    assert rows is not None and rows[1]
+    assert rows is not None and rows.rows
     assert (repr(cfg), hash(cfg)) == before
     assert cfg == twin and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
     assert "_edge_rows" not in repr(cfg)
+    # The states and the heuristic memo are kept beside the rows.
+    assert rows.states and rows.h_memo[1]
     # replace starts an empty table and leaves the original's alone.
     other = dataclasses.replace(cfg, max_expansions=10)
     assert other._edge_rows is None
     plan(start, goal, other, grid)
-    assert other._edge_rows[1] and cfg._edge_rows is rows
+    assert other._edge_rows.rows and cfg._edge_rows is rows
 
 
 def test_shared_rows_stay_bounded():
@@ -400,9 +405,193 @@ def test_shared_rows_stay_bounded():
         gp = (rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5), 0.25)
         grid = carve_free(random_grid((10, 10, 1), 0.5, 0.2, seed=k), sp, gp)
         expanded += plan(State.rest(2, sp), GoalSpec(gp), cfg, grid).expanded
-        counts.append(len(cfg._edge_rows[1]))
+        counts.append(len(cfg._edge_rows.rows))
     assert counts[-1] < expanded / 20
     assert counts[-1] - counts[59] <= counts[59] // 4
+
+
+def test_get_successors_leaves_the_config_rows_alone(monkeypatch):
+    """A get_successors call on a state with other higher derivatives than
+    the config's rows were made for builds its row apart from them."""
+    cfg = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    grid, start, goal = corpus_case(3)
+    first = plan(start, goal, cfg, grid)
+    shared = cfg._edge_rows
+    rows, states = dict(shared.rows), dict(shared.states)
+    moving = State.of(start.pos, (0.5, -0.5, 0.0))
+    assert get_successors(moving, cfg, grid) == brute_successors(moving, cfg,
+                                                                 grid)
+    assert cfg._edge_rows is shared
+    assert shared.rows == rows and shared.states == states
+    built = []
+    monkeypatch.setattr(search_module, "propagate",
+                        lambda *a: built.append(a) or propagate(*a))
+    again = plan(start, goal, cfg, grid)
+    assert (again.status, again.expanded, again.primitives) == (
+        first.status, first.expanded, first.primitives)
+    assert not built
+    assert cfg._edge_rows is shared
+    assert shared.rows == rows and shared.states == states
+
+
+def _signed_component(rng, lo, hi):
+    r = rng.random()
+    return 0.0 if r < 0.15 else -0.0 if r < 0.3 else rng.uniform(lo, hi)
+
+
+def test_h_lqmt_memo_equals_a_fresh_solve():
+    """2,000 evaluations over pools of order-2 and order-3 states that
+    repeat, with signed zeros in states and goals, interleaving goals on
+    one config: each memoized value is the fresh config's float."""
+    rng = random.Random(11)
+    goals = [GoalSpec((0.0, 2.0, -0.0)), GoalSpec((-0.0, 2.0, 0.0)),
+             GoalSpec((3.0, -0.0, 1.0), (0.5, -0.0, 0.0))]
+    floor_seen = set()
+    hits = 0
+    for order, calls in ((2, 1500), (3, 500)):
+        for v_max in (0.5, 50.0):
+            cfg = lattice_cfg(order=order, dims=3, v_max=v_max)
+            EdgeTable(cfg, FREE_60, State.rest(order))
+            fresh = dataclasses.replace(cfg)
+            pool = [State(tuple(tuple(_signed_component(rng, -4.0, 4.0)
+                                      for _ in range(3))
+                                for _ in range(order)))
+                    for _ in range(calls // 20)]
+            # Runs of 50 calls toward one goal, the goals in turn.
+            for k in range(calls // 2):
+                s, goal = rng.choice(pool), goals[k // 50 % len(goals)]
+                memo = cfg._edge_rows.h_memo
+                hits += memo[0] == goal and s.derivs in memo[1]
+                got, want = h_lqmt(s, goal, cfg), h_lqmt(s, goal, fresh)
+                assert got == want and repr(got) == repr(want)
+                if order == 2:
+                    no_floor = dataclasses.replace(
+                        fresh, bounds=DynBounds(v_max=None))
+                    floor_seen.add(want != h_lqmt(s, goal, no_floor))
+            assert fresh._edge_rows is None
+    assert floor_seen == {True, False}
+    assert hits > 500
+
+
+def test_shared_config_plans_toward_two_goals_equal_fresh_plans():
+    """Plans toward two goals, under every heuristic, interleaved on one
+    config per heuristic, equal fresh-config plans; moving starts carry
+    -0.0 components."""
+    goals = [GoalSpec((9.0, 9.0, 0.25)), GoalSpec((6.0, 3.5, 0.25))]
+    configs = {h: cfg_2d(h, goal_tol=0.5, rest=True) for h in Heuristic}
+    for k in range(4):
+        grid, rest, _ = corpus_case(100 + k)
+        grid = carve_free(grid, *(g.p_g for g in goals))
+        starts = (rest, State.of(rest.pos, (1.0, -0.0, 0.0)))
+        for start, goal, h in itertools.product(starts, goals, Heuristic):
+            cfg = configs[h]
+            got = plan_trace(start, goal, cfg, grid)
+            want = plan_trace(start, goal, dataclasses.replace(cfg), grid)
+            assert got == want and repr(got[:4]) == repr(want[:4])
+            assert got[0] is PlanStatus.SOLVED
+    assert configs[Heuristic.LQMT]._edge_rows.h_memo[1]
+    for h in (Heuristic.ZERO, Heuristic.MAX_SPEED):
+        assert not configs[h]._edge_rows.h_memo[1]
+
+
+def test_memo_and_states_hold_one_entry_per_state_pushed(monkeypatch):
+    """Over 50 corpus maps on one config, the heuristic memo holds the
+    states the heuristic was asked about (the pushed ones and the start),
+    the state dict the pushed ones, once each and sharing one object."""
+    cfg = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    asked, pushed = [], []
+    real_h, real_push = search_module.h_lqmt, search_module.heappush
+    monkeypatch.setattr(search_module, "h_lqmt",
+                        lambda s, *a: asked.append(s) or real_h(s, *a))
+    monkeypatch.setattr(search_module, "heappush",
+                        lambda *a: pushed.append(a) or real_push(*a))
+    starts = set()
+    for seed in range(50):
+        grid, start, goal = corpus_case(seed)
+        plan(start, goal, cfg, grid)
+        starts.add(start.derivs)
+    shared = cfg._edge_rows
+    memo_goal, memo = shared.h_memo
+    assert memo_goal == goal
+    # The heuristic is asked about each start and each pushed state.
+    assert len(asked) == 50 + len(pushed)
+    distinct = {s.derivs for s in asked}
+    assert len(asked) > 2 * len(distinct)
+    assert set(memo) == distinct
+    assert set(shared.states) == distinct - starts
+    for derivs, s in shared.states.items():
+        assert s.derivs is derivs
+    # Every later arrival at a stored state was handed the stored object.
+    assert all(s is shared.states[s.derivs] for s in asked
+               if s.derivs not in starts)
+
+
+def test_shared_states_stay_bounded_over_varied_starts(monkeypatch):
+    """Starts at many positions push states that seldom repeat; a plan that
+    finds more than MAX_SHARED_STATES of them starts afresh, and every plan
+    still equals a fresh-config plan."""
+    monkeypatch.setattr(search_module, "MAX_SHARED_STATES", 400)
+    pushed = []
+    real_push = search_module.heappush
+    monkeypatch.setattr(search_module, "heappush",
+                        lambda *a: pushed.append(a) or real_push(*a))
+    cfg = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    goal = GoalSpec((9.0, 9.0, 0.25))
+    rng = random.Random(6)
+    fresh_starts = 0
+    for k in range(12):
+        sp = (rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5), 0.25)
+        grid = carve_free(random_grid((20, 20, 1), 0.5, 0.2, seed=k), sp,
+                          goal.p_g)
+        before = cfg._edge_rows
+        kept = len(before.states) if before is not None else 0
+        pushed.clear()
+        got = plan_trace(State.rest(2, sp), goal, cfg, grid)
+        if cfg._edge_rows is not before:
+            fresh_starts += before is not None
+            kept = 0
+        assert kept <= 400
+        assert len(cfg._edge_rows.states) <= kept + len(pushed)
+        assert got == plan_trace(State.rest(2, sp), goal,
+                                 dataclasses.replace(cfg), grid)
+    assert fresh_starts >= 2
+
+
+def test_threads_sharing_a_config_plan_as_a_fresh_config_would():
+    """Threads plan toward two goals at once on one config, with a short
+    switch interval: each plan equals the fresh-config plan."""
+    goals = [GoalSpec((9.0, 9.0, 0.25)), GoalSpec((6.0, 3.5, 0.25))]
+    cases = []
+    for k in range(3):
+        grid, start, _ = corpus_case(120 + k)
+        grid = carve_free(grid, *(g.p_g for g in goals))
+        cases += [(start, goal, grid) for goal in goals]
+    cfg = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    want = [plan_trace(*case[:2], dataclasses.replace(cfg), case[2])
+            for case in cases]
+    got = [[] for _ in range(4)]
+
+    def worker(out, shift):
+        for j in range(2 * len(cases)):
+            i = (j + shift) % len(cases)
+            out.append((i, plan_trace(*cases[i][:2], cfg, cases[i][2])))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(out, n))
+                   for n, out in enumerate(got)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in got:
+        assert len(out) == 2 * len(cases)
+        for i, trace in out:
+            assert trace == want[i]
 
 
 def test_h_max_speed_values():

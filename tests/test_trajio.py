@@ -199,3 +199,9 @@ def test_segments_reject_axis_without_coefficients():
     text = _one_segment(x="x").replace("count 1\n", "count 1\n\n")
     with pytest.raises(ValueError, match="line 6: axis x"):
         loads_segments(text)
+
+
+def test_segments_reject_lines_beyond_the_count():
+    text = _one_segment() + "seg 2.0\nx 1.0\ny 1.0\nz 1.0\n"
+    with pytest.raises(ValueError, match="line 8: more lines than the 1 "):
+        loads_segments(text)
