@@ -11,18 +11,25 @@ Grid files are plain text:
 Cell digits are 0 free, 1 occupied, 2 unknown. Anything outside the stored
 box counts as occupied. Unknown cells count as occupied unless the caller
 opts into treating them as free.
+
+A primitive is collision-free when every cell its path meets on [0, tau]
+is free: swept_cells walks the closed-form times at which each axis
+polynomial crosses a grid plane, so no cell is skipped between samples.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from enum import IntEnum
 
 from .lattice import MotionPrimitive
 from .lti import Vec3
-from .polyalg import Interval, Poly1, extrema_on
+from .polyalg import Interval, Poly1, _bisect, _horner, extrema_on, real_roots
 
 
 class CellState(IntEnum):
@@ -97,7 +104,41 @@ class OccupancyGrid:
         return self.value(ix, iy, iz)
 
     def is_free_at(self, p, unknown_is_free: bool = False) -> bool:
-        return self.free_along(p, _AT_POINT, unknown_is_free)
+        """True iff p lies in a free cell.
+
+        Unknown cells count as free only when unknown_is_free; cells outside
+        the stored box are occupied.
+        """
+        ix, iy, iz = self.cell_index(p)
+        nx, ny, nz = self.dims
+        if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
+            return False
+        free = _FREE_OR_UNKNOWN if unknown_is_free else _FREE_ONLY
+        return self.cells[ix + nx * (iy + ny * iz)] in free
+
+    def cell_phase(self, p) -> tuple[tuple[int, int, int], Vec3]:
+        """cell_index(p), and p's offset inside that cell in cells.
+
+        Each offset is (p - origin) / resolution less its floor, so it lies
+        in [0, 1] (1 only where rounding a negative coordinate reaches it).
+        """
+        r = self.resolution
+        ox, oy, oz = self.origin
+        fx, fy, fz = (p[0] - ox) / r, (p[1] - oy) / r, (p[2] - oz) / r
+        kx, ky, kz = math.floor(fx), math.floor(fy), math.floor(fz)
+        return (kx, ky, kz), (fx - kx, fy - ky, fz - kz)
+
+    @property
+    def exact_frame(self) -> bool:
+        """True iff (p - origin) / resolution is exact for every float p:
+        the origin is zero and the resolution a power of two."""
+        return (self.origin == (0.0, 0.0, 0.0)
+                and math.frexp(self.resolution)[0] == 0.5)
+
+    def blocked_mask(self, unknown_is_free: bool = False) -> bytes:
+        """Per cell, 0 where it is free and 1 where it is not."""
+        return self.cells.translate(_BLOCKED_UNKNOWN_FREE if unknown_is_free
+                                    else _BLOCKED)
 
     def any_free_in_box(self, lo, hi, unknown_is_free: bool = False) -> bool:
         """True iff some free cell meets the closed box [lo, hi].
@@ -119,36 +160,15 @@ class OccupancyGrid:
         return any(cells[ix + nx * (iy + ny * iz)] in free
                    for iz in spans[2] for iy in spans[1] for ix in spans[0])
 
-    def free_along(self, p0, offsets, unknown_is_free: bool = False) -> bool:
-        """True iff every point p0 + d, d in offsets, lies in a free cell.
 
-        Unknown cells count as free only when unknown_is_free; cells outside
-        the stored box are occupied.
-        """
-        r = self.resolution
-        ox, oy, oz = self.origin
-        nx, ny, nz = self.dims
-        cells = self.cells
-        free = _FREE_OR_UNKNOWN if unknown_is_free else _FREE_ONLY
-        px, py, pz = p0
-        floor = math.floor
-        for dx, dy, dz in offsets:
-            ix = floor((px + dx - ox) / r)
-            iy = floor((py + dy - oy) / r)
-            iz = floor((pz + dz - oz) / r)
-            if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
-                return False
-            if cells[ix + nx * (iy + ny * iz)] not in free:
-                return False
-        return True
-
-
-# Cell values free_along accepts, as plain ints for a fast membership test.
+# Cell values is_free_at and any_free_in_box accept, as plain ints for a
+# fast membership test.
 _FREE_ONLY = (int(CellState.FREE),)
 _FREE_OR_UNKNOWN = (int(CellState.FREE), int(CellState.UNKNOWN))
 
-# Adding a zero offset leaves a point's cell unchanged.
-_AT_POINT = ((0.0, 0.0, 0.0),)
+# Cell value to 0 (free) or 1 (blocked), for blocked_mask.
+_BLOCKED = bytes([0, 1, 1]) + bytes([1]) * 253
+_BLOCKED_UNKNOWN_FREE = bytes([0, 1, 0]) + bytes([1]) * 253
 
 
 def loads_grid(text: str) -> OccupancyGrid:
@@ -262,36 +282,203 @@ def check_dynamics(prim: MotionPrimitive, bounds: DynBounds) -> bool:
     return True
 
 
-def sample_offsets(prim: MotionPrimitive, v_max: float,
-                   resolution: float) -> tuple[Vec3, ...]:
-    """Displacements from the primitive's start to its collision samples.
+# Rounding slack of the swept-cell test. A piece of path that ends within
+# this many cells of a grid plane, short of it or past it, also counts the
+# cell on the plane's other side, and events of two axes less than this
+# many seconds apart count every mix of their cells: a floating-point
+# sample of the path lies within a few ulps of the exact point. The value
+# covers grids up to about a million cells across.
+PLANE_TOL = 1e-9
 
-    The sample count I = ceil(tau * v_max / R) caps the gap between
-    consecutive samples at one cell size R, so no cell of the swept path can
-    be skipped while the speed bound holds. Samples run from t = 0 to
-    t = tau inclusive. Each displacement is Horner's scheme on the position
-    polynomial without its constant term, times t, so adding the constant
-    term repeats Horner's last step and gives the sample bit for bit. The
-    displacements depend only on the start's higher derivatives and u.
+def swept_cells(tails, tau: float, resolution: float, phase: Vec3,
+                exact_frame: bool) -> set[tuple[int, int, int]]:
+    """The cells a primitive's path meets on [0, tau], relative to its own.
+
+    tails[ax] holds the axis displacement's coefficients without the
+    constant term (tails[ax][i] multiplies t**(i + 1)), and phase is the
+    start's offset inside its cell, in cells (OccupancyGrid.cell_phase). On
+    each axis the cell at time t is floor(phase + displacement / resolution)
+    relative to the start's, the floor convention of cell_index. The axis
+    splits at the critical points of its displacement into monotone pieces;
+    the times at which a piece reaches an integer plane come in closed form,
+    and between them the cell stays the same. Walking the merged events of
+    the three axes in time order therefore visits exactly the cells the path
+    meets: Amanatides & Woo's voxel traversal, for polynomials instead of
+    rays.
+
+    A floating-point sample of the path may round across a plane it is
+    within a few ulps of, so some cells beyond the exact ones count too:
+    where a piece ends within PLANE_TOL of a plane it does not reach, or
+    just past one it crosses; below a plane that a piece reaches exactly
+    from above, unless exact_frame (OccupancyGrid.exact_frame) holds and
+    the landing is exact in floating point; and where two axes move within
+    PLANE_TOL of each other in time (_cluster_mix).
     """
-    if not v_max > 0.0:
-        raise ValueError("v_max must be positive to bound the sample spacing")
-    tau = prim.tau
-    steps = max(1, math.ceil(tau * v_max / resolution))
-    tails = [Poly1(p.coeffs[1:]) for p in prim.axis_polys]
+    coeffs = [tuple(c / resolution for c in tail) for tail in tails]
+    events = [(t, ax, at, after, plane)
+              for ax in range(3) if any(coeffs[ax])
+              for t, at, after, plane in _plane_events(
+                  phase[ax], coeffs[ax], tau, exact_frame)]
+    events.sort(key=lambda ev: ev[0])
+    cur: list[tuple[int, ...]] = [(0,), (0,), (0,)]
+    cells = {(0, 0, 0)}
+    i, n = 0, len(events)
+    while i < n:
+        # Events less than PLANE_TOL apart form a cluster; see _cluster_mix.
+        seen = [set(v) for v in cur]
+        cluster = []
+        t = events[i][0]
+        while i < n and events[i][0] - t <= PLANE_TOL:
+            t = events[i][0]
+            on = list(cur)
+            moved = [False, False, False]
+            while i < n and events[i][0] == t:
+                _t, ax, at, after, _plane = events[i]
+                on[ax] = on[ax] + at if moved[ax] else at
+                moved[ax] = True
+                cur[ax] = after
+                seen[ax].update(at + after)
+                cluster.append(events[i])
+                i += 1
+            cells.update(itertools.product(*on))
+            cells.update(itertools.product(*cur))
+        mix = _cluster_mix(cluster, coeffs, phase, exact_frame, seen)
+        if mix is not None:
+            cells.update(itertools.product(*mix))
+    return cells
+
+
+def _cluster_mix(cluster, coeffs, phase, exact_frame, seen):
+    """Per axis, the cells a sample taken within a cluster of events may
+    show when two or more axes move in it, or None when the walk already
+    holds them.
+
+    A sample among events at different times, or at one time outside an
+    exact frame, may round either way on every axis that moves there. At
+    one time in an exact frame, an axis that lands exactly on its plane
+    shows that cell, and the others may round either way; when none lands
+    exactly, no sample falls at that instant.
+    """
+    if len({ev[1] for ev in cluster}) < 2:
+        return None
+    t = cluster[0][0]
+    if cluster[-1][0] != t or not exact_frame:
+        return seen
+    exact: dict[int, tuple[int, ...]] = {}
+    for _t, ax, at, _after, plane in cluster:
+        if plane is not None and _lands_exactly(coeffs[ax], phase[ax], t,
+                                                plane):
+            exact[ax] = exact.get(ax, ()) + at
+    if not exact:
+        return None
+    return [exact.get(ax, seen[ax]) for ax in range(3)]
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _plane_events(phi: float, c: tuple[float, ...], tau: float,
+                  exact_frame: bool) -> tuple:
+    """(t, cells at t, cells just after t, plane) for each time the axis
+    position phi + sum(c[i] t**(i + 1)) reaches an integer plane (plane is
+    None for the cells added beyond one). A row's controls share few
+    distinct axis polynomials, so the result is cached."""
     out = []
-    for i in range(steps + 1):
-        t = tau if i == steps else tau * i / steps
-        out.append(tuple(tail.eval(t) * t for tail in tails))
+    crit = real_roots(Poly1(tuple(k * ck for k, ck in enumerate(c, 1))))
+    knots = sorted(t for t in crit if 0.0 < t < tau)
+    knots.append(tau)
+    t0, g0 = 0.0, phi
+    for t1 in knots:
+        g1 = phi + _horner(c, t1) * t1
+        if g1 > g0:
+            for m in range(math.floor(g0) + 1, math.floor(g1) + 1):
+                t0 = _plane_time(c, phi - m, t0, t1)
+                # Ending just past this plane, the axis may read either side.
+                past = 0.0 < g1 - m <= PLANE_TOL
+                out.append((t0, (m,), (m - 1, m) if past else (m,), m))
+            top = math.ceil(g1)
+            if 0.0 < top - g1 <= PLANE_TOL:
+                out.append((t1, (top,), (top - 1,), None))
+        elif g1 < g0:
+            for m in range(math.floor(g0), math.floor(g1), -1):
+                t0 = _plane_time(c, phi - m, t0, t1)
+                past = 0.0 < m - g1 <= PLANE_TOL
+                out.append((t0, (m,), (m - 1, m) if past else (m - 1,), m))
+            low = math.floor(g1)
+            if (0.0 < g1 - low <= PLANE_TOL or g1 == low and not (
+                    exact_frame and _lands_exactly(c, phi, t1, low))):
+                out.append((t1, (low - 1,), (low,), None))
+        t0, g0 = t1, g1
     return tuple(out)
 
 
-def check_collision(prim: MotionPrimitive, grid: OccupancyGrid, v_max: float,
-                    unknown_is_free: bool = False) -> bool:
-    """True iff the sampled primitive path stays in free cells.
+@functools.lru_cache(maxsize=1 << 12)
+def _lands_exactly(c: tuple[float, ...], phi: float, t: float,
+                   m: int) -> bool:
+    """True iff Horner's scheme gives the displacement at t without
+    rounding and phi plus it is exactly m."""
+    d = _horner(c, t) * t
+    if phi + d != m:
+        return False
+    d, ft = Fraction(d), Fraction(t)
+    return (d == sum(Fraction(ck) * ft ** k for k, ck in enumerate(c, 1))
+            and Fraction(phi) + d == m)
 
-    The samples are those of sample_offsets.
+
+def _plane_time(c: tuple[float, ...], c0: float, lo: float,
+                hi: float) -> float:
+    """The root of f = c0 + sum(c[i] t**(i + 1)), monotone on [lo, hi],
+    that lies nearest that interval, clamped into it (hi when rounding
+    leaves no real root: the plane then is met where the piece turns)."""
+    cs = (c0, *c)
+    best, dist = hi, math.inf
+    for r in real_roots(Poly1(cs)):
+        d = max(lo - r, r - hi, 0.0)
+        if d < dist:
+            best, dist = r, d
+    t = min(max(best, lo), hi)
+    if abs(_horner(cs, t)) > PLANE_TOL:
+        # A closed form loses its small roots when the leading coefficient
+        # is tiny beside the others; f is monotone here, so bisect.
+        f_lo = _horner(cs, lo)
+        t = lo if f_lo == 0.0 else _bisect(cs, lo, hi, f_lo)
+    return t
+
+
+def swath(cells, dims: tuple[int, int, int]) -> tuple:
+    """(lo_x, hi_x, lo_y, hi_y, lo_z, hi_z, deltas) for a set of relative
+    cells on a grid of the given dims: from a start cell (kx, ky, kz) the
+    cells stay inside the grid iff lo_x <= kx < hi_x and likewise for y
+    and z, and they are then at the start cell's flat index plus each of
+    the sorted deltas."""
+    nx, ny, nz = dims
+    xs = [c[0] for c in cells]
+    ys = [c[1] for c in cells]
+    zs = [c[2] for c in cells]
+    deltas = sorted({dx + nx * (dy + ny * dz) for dx, dy, dz in cells})
+    return (-min(xs), nx - max(xs), -min(ys), ny - max(ys),
+            -min(zs), nz - max(zs), tuple(deltas))
+
+
+def primitive_tails(prim: MotionPrimitive) -> tuple[tuple[float, ...], ...]:
+    """Per axis, the position polynomial's coefficients after the constant."""
+    return tuple(p.coeffs[1:] for p in prim.axis_polys)
+
+
+def check_collision(prim: MotionPrimitive, grid: OccupancyGrid,
+                    v_max: float | None = None,
+                    unknown_is_free: bool = False) -> bool:
+    """True iff every cell the primitive's path meets on [0, tau] is free.
+
+    The cells are those of swept_cells, so the test is exact up to
+    PLANE_TOL; v_max is not used. EdgeTable.successors runs the same test
+    on the same swath.
     """
-    p0 = tuple(p.coeffs[0] for p in prim.axis_polys)
-    return grid.free_along(p0, sample_offsets(prim, v_max, grid.resolution),
-                           unknown_is_free)
+    (kx, ky, kz), phase = grid.cell_phase(prim.x0.pos)
+    lo_x, hi_x, lo_y, hi_y, lo_z, hi_z, deltas = swath(
+        swept_cells(primitive_tails(prim), prim.tau, grid.resolution, phase,
+                    grid.exact_frame), grid.dims)
+    if not (lo_x <= kx < hi_x and lo_y <= ky < hi_y and lo_z <= kz < hi_z):
+        return False
+    nx, ny, _nz = grid.dims
+    base = kx + nx * (ky + ny * kz)
+    blocked = grid.blocked_mask(unknown_is_free)
+    return not any(blocked[base + d] for d in deltas)

@@ -79,7 +79,7 @@ def _stripped(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     if big == 0.0:
         return (0.0,)
     cs = list(coeffs)
-    while len(cs) > 1 and abs(cs[-1]) < LEADING_COEFF_CUTOFF * big:
+    while len(cs) > 1 and abs(cs[-1]) <= LEADING_COEFF_CUTOFF * big:
         cs.pop()
     return tuple(cs)
 

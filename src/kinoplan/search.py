@@ -11,10 +11,14 @@ moves every derivative of order one and up independently of the start
 position, so the table is keyed on a state's exact higher derivatives
 s.derivs[1:] and holds, for each control that passes check_dynamics, the
 edge cost, the end state's higher derivatives and their part of the lattice
-key, the addends of the end position, and the collision-sample
-displacements from the start position. Expanding a state then costs one
-dictionary lookup, one cell test per sample and a few float additions per
-edge; the primitives of the returned plan are built from the table's
+key, and the addends of the end position. The cells an edge sweeps depend
+only on its control, the start's higher derivatives and where the start
+sits inside its grid cell, so each row keeps them per start phase, as
+flat cell-index offsets
+(gridmap.swept_cells; the swath of Pivtoraiko, Knepper and Kelly's state
+lattices). Expanding a state then costs two dictionary lookups, and per
+edge one bounds test, a byte lookup per swept cell and a few float
+additions; the primitives of the returned plan are built from the table's
 entries. The rows live on the PlannerConfig, so plans that share a config,
 a grid resolution and the start's higher derivatives share them: reuse one
 PlannerConfig across queries toward the same goal.
@@ -39,7 +43,7 @@ from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .gridmap import (DynBounds, OccupancyGrid, check_collision,
-                      check_dynamics, sample_offsets)
+                      check_dynamics, primitive_tails, swath, swept_cells)
 from .lattice import (ControlSet, LatticeKey, MotionPrimitive, fold_state,
                       fold_terms, lattice_key, lattice_resolutions, propagate)
 # check_collision and lqmt_optimal_time are not called here; they stay
@@ -245,13 +249,18 @@ class EdgeTable:
     control that passes check_dynamics, in control-set order: the control,
     the edge cost, the end state's higher derivatives and lattice-key part,
     the end position's addends (MotionPrimitive.state_terms) and the
-    collision-sample displacements (gridmap.sample_offsets). Rows are built
+    position polynomial's coefficients past the constant. Rows are built
     from propagate and check_dynamics on the first state with those higher
     derivatives; every result derived from a row equals, bit for bit, what
-    the primitive built at the state itself gives.
+    the primitive built at the state itself gives. Beside its entries a row
+    keeps their swaths (gridmap.swath of gridmap.swept_cells) per start
+    phase (OccupancyGrid.cell_phase), grid dims and exact_frame, so the
+    edge test is the one check_collision runs. Lattices whose position
+    step and cell size are commensurate have few phases; others get one
+    per state, bounded with the states by MAX_SHARED_STATES.
 
-    Beyond the config, a row depends only on the grid resolution (sample
-    offsets) and the origin's higher derivatives (key part), so the rows
+    Beyond the config, a row depends only on the grid resolution (swept
+    cells) and the origin's higher derivatives (key part), so the rows
     are kept on the config for that pair and taken over by the next table
     made with the same pair; another pair starts a fresh set, and so does
     a holder with more than MAX_SHARED_STATES states, unless _install is
@@ -269,6 +278,9 @@ class EdgeTable:
         self._origin = origin
         self._pos_res = lattice_resolutions(cfg.order, cfg.control_set.d_u,
                                             cfg.tau)[0]
+        self._blocked = grid.blocked_mask(cfg.unknown_is_free)
+        # What a swath depends on beyond its row entry and start phase.
+        self._frame = (grid.dims, grid.exact_frame)
         pair = (grid.resolution, origin.derivs[1:])
         shared = cfg._edge_rows
         if (shared is None or shared.pair != pair
@@ -280,10 +292,10 @@ class EdgeTable:
         # One State per float state, for plan to hand out on every arrival.
         self._states = shared.states
 
-    def _build_row(self, s: State) -> list:
+    def _build_row(self, s: State) -> tuple[list, dict]:
         cfg = self._cfg
         d_u, tau = cfg.control_set.d_u, cfg.tau
-        row = []
+        entries = []
         for u in cfg.control_set.controls:
             prim = propagate(s, u, tau, cfg.rho)
             if not check_dynamics(prim, cfg.bounds):
@@ -291,10 +303,9 @@ class EdgeTable:
             terms = prim.state_terms(tau)
             end = fold_state(s, terms)
             key = lattice_key(end, d_u, tau, self._origin)
-            offsets = sample_offsets(prim, cfg.bounds.v_max,
-                                     self._grid.resolution)
-            row.append((prim.u, prim.cost, end.derivs[1:], key[1:],
-                        terms[0], offsets))
+            entries.append((prim.u, prim.cost, end.derivs[1:], key[1:],
+                            terms[0], primitive_tails(prim)))
+        row = (entries, {})
         self._rows[s.derivs[1:]] = row
         return row
 
@@ -303,22 +314,43 @@ class EdgeTable:
         row = self._rows.get(s.derivs[1:])
         if row is None:
             row = self._build_row(s)
+        entries, swaths_at = row
+        grid = self._grid
+        dims = grid.dims
         p = s.pos
+        (kx, ky, kz), phase = grid.cell_phase(p)
+        swaths = swaths_at.get((phase, self._frame))
+        if swaths is None:
+            tau, res = self._cfg.tau, grid.resolution
+            exact = grid.exact_frame
+            swaths = [swath(swept_cells(tails, tau, res, phase, exact), dims)
+                      for *_e, tails in entries]
+            swaths_at[phase, self._frame] = swaths
+        nx, ny, _nz = dims
+        base = kx + nx * (ky + ny * kz)
+        blocked = self._blocked
         px, py, pz = p
         ox, oy, oz = self._origin.pos
         res = self._pos_res
-        free_along = self._grid.free_along
-        unknown_is_free = self._cfg.unknown_is_free
         out = []
-        for u, cost, higher, key_tail, (tx, ty, tz), offsets in row:
-            if not free_along(p, offsets, unknown_is_free):
+        # check_collision's test, inlined: calling a function per edge
+        # costs about a tenth of a corpus query.
+        for (u, cost, higher, key_tail, (tx, ty, tz), _tails), (
+                lo_x, hi_x, lo_y, hi_y, lo_z, hi_z, deltas) in zip(entries,
+                                                                   swaths):
+            if not (lo_x <= kx < hi_x and lo_y <= ky < hi_y
+                    and lo_z <= kz < hi_z):
                 continue
-            x = fold_terms(px, tx)
-            y = fold_terms(py, ty)
-            z = fold_terms(pz, tz)
-            key = ((round((x - ox) / res), round((y - oy) / res),
-                    round((z - oz) / res)),) + key_tail
-            out.append((u, cost, State(((x, y, z),) + higher), key))
+            for d in deltas:
+                if blocked[base + d]:
+                    break
+            else:
+                x = fold_terms(px, tx)
+                y = fold_terms(py, ty)
+                z = fold_terms(pz, tz)
+                key = ((round((x - ox) / res), round((y - oy) / res),
+                        round((z - oz) / res)),) + key_tail
+                out.append((u, cost, State(((x, y, z),) + higher), key))
         return out
 
 
@@ -348,8 +380,7 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
          ) -> PlanResult:
     """A* from start to the goal region over constant-control primitives.
 
-    Collision sampling needs bounds.v_max, so planning without it is
-    rejected. Raises StartInfeasibleError when the start cell is not free or
+    Planning without bounds.v_max is rejected. Raises StartInfeasibleError when the start cell is not free or
     the start state already violates the bounds. When no free cell meets
     the goal position box, no state can reach it: the result is NoPath
     with 0 expansions. The optional edge_hook is
@@ -360,8 +391,7 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
     if start.order != cfg.order:
         raise ValueError("start state order does not match the config")
     if cfg.bounds.v_max is None:
-        raise MissingBoundError("planning needs bounds.v_max for collision "
-                                "sampling")
+        raise MissingBoundError("planning needs bounds.v_max")
     if not grid.is_free_at(start.pos, cfg.unknown_is_free):
         raise StartInfeasibleError("start position is not in free space")
     if not _static_within_bounds(start, cfg.bounds):

@@ -18,7 +18,9 @@ from kinoplan.gridmap import (
     load_grid,
     loads_grid,
     random_grid,
+    primitive_tails,
     save_grid,
+    swept_cells,
 )
 from kinoplan.lattice import propagate
 from kinoplan.lti import State
@@ -250,11 +252,86 @@ def test_collision_unknown_policy():
     assert check_collision(prim, g, v_max=2.0, unknown_is_free=True)
 
 
-def test_collision_requires_positive_vmax():
-    prim = propagate(State.rest(2), (0.0, 0.0, 0.0), 1.0, 0.0)
-    g = grid_from_rows(["0"])
-    with pytest.raises(ValueError):
-        check_collision(prim, g, v_max=0.0)
+def test_collision_ignores_vmax():
+    # The swept cells come from the path itself, not from samples spaced by
+    # v_max, so the verdict is the same for any v_max, or none.
+    x0 = State.of((0.25, 0.25, 0.25), (1.0, 0.0, 0.0))
+    prim = propagate(x0, (0.0, 0.0, 0.0), 1.0, 0.0)
+    for rows, want in ((["000"], True), (["0010"], False), (["01"], False)):
+        g = grid_from_rows(rows)
+        assert [check_collision(prim, g, v) for v in (None, 0.0, 0.1, 2.0,
+                                                       100.0)] == [want] * 5
+
+
+def test_collision_catches_corner_graze_between_samples():
+    # Velocity (1, 1) from (0.24, 0.2): x reaches 0.5 at t = 0.26 and y at
+    # t = 0.3, so the path is in cell (1, 0) for 0.04 s. Samples spaced one
+    # cell apart (t = 0, 0.25, 0.5, ...) never land there.
+    x0 = State.of((0.24, 0.2, 0.25), (1.0, 1.0, 0.0))
+    prim = propagate(x0, (0.0, 0.0, 0.0), 1.0, 0.0)
+    steps = math.ceil(prim.tau * 2.0 / 0.5)
+    samples = {tuple(math.floor(p.eval(prim.tau * i / steps) / 0.5)
+                     for p in prim.axis_polys) for i in range(steps + 1)}
+    assert (1, 0, 0) not in samples
+    assert check_collision(prim, grid_from_rows(["000", "000", "000"]))
+    assert not check_collision(prim, grid_from_rows(["010", "000", "000"]),
+                               v_max=2.0)
+    # The mirror cell (0, 1) is not on the path.
+    assert check_collision(prim, grid_from_rows(["000", "100", "000"]))
+
+
+def test_swept_cells_count_the_plane_a_vertex_touches():
+    # x(t) = 0.5 + t - t**2 / 2 rises to exactly 1.0 at t = 1 and falls
+    # back: under the floor convention it touches cell 2 at that instant.
+    touch = propagate(State.of((0.5, 0.25, 0.25), (1.0, 0.0, 0.0)),
+                      (-1.0, 0.0, 0.0), 2.0, 0.0)
+    assert swept_cells(primitive_tails(touch), 2.0, 0.5, (0.0, 0.5, 0.5),
+                       True) == {
+        (0, 0, 0), (1, 0, 0)}
+    assert not check_collision(touch, grid_from_rows(["0010"]))
+    assert check_collision(touch, grid_from_rows(["0001"]))
+    # Starting a little lower, the vertex stays below the plane.
+    short = propagate(State.of((0.49, 0.25, 0.25), (1.0, 0.0, 0.0)),
+                      (-1.0, 0.0, 0.0), 2.0, 0.0)
+    assert check_collision(short, grid_from_rows(["0010"]))
+    assert not check_collision(short, grid_from_rows(["1000"]))
+
+
+def test_swept_cells_leave_out_the_cell_behind_a_plane_start():
+    # Starting on the plane x = 0.5 at rest: accelerating in +x never
+    # enters cell 0; accelerating in -x enters it at once.
+    ahead = propagate(State.rest(2, (0.5, 0.25, 0.25)), (1.0, 0.0, 0.0),
+                      1.0, 0.0)
+    back = propagate(State.rest(2, (0.5, 0.25, 0.25)), (-1.0, 0.0, 0.0),
+                     1.0, 0.0)
+    g = grid_from_rows(["1000"])
+    assert check_collision(ahead, g)
+    assert not check_collision(back, g)
+    assert swept_cells(primitive_tails(ahead), 1.0, 0.5, (0.0, 0.5, 0.5),
+                       True) == {
+        (0, 0, 0), (1, 0, 0)}
+    # Arriving on the plane x = 0.5 from above ends in cell 1, not cell 0:
+    # x(t) = 1.0 - t**2 / 2 reaches 0.5 at t = 1.
+    down = propagate(State.rest(2, (1.0, 0.25, 0.25)), (-1.0, 0.0, 0.0),
+                     1.0, 0.0)
+    assert check_collision(down, g)
+    assert swept_cells(primitive_tails(down), 1.0, 0.5, (0.0, 0.5, 0.5),
+                       True) == {
+        (0, 0, 0), (-1, 0, 0)}
+
+
+def test_swept_cells_of_a_jerk_primitive_follow_the_cubic():
+    # Order 3 from rest with jerk +1 on x and -1 on y: x(t) = t**3 / 6 is
+    # 1 / 6 at t = 1, within the start cell for r = 0.5 and phase 0.5; over
+    # tau = 2 it reaches 4 / 3, three cells on.
+    tails = primitive_tails(propagate(State.rest(3, (0.25, 0.25, 0.25)),
+                                      (1.0, -1.0, 0.0), 2.0, 0.0))
+    # x and y reach their planes at the same instants; at each one x is on
+    # its plane (the upper cell) and y on its own (the upper cell too).
+    assert swept_cells(tails, 2.0, 0.5, (0.5, 0.5, 0.5), True) == {
+        (0, 0, 0), (1, 0, 0), (1, -1, 0), (2, -1, 0), (2, -2, 0),
+        (3, -2, 0), (3, -3, 0)}
+    assert swept_cells(tails, 1.0, 0.5, (0.5, 0.5, 0.5), True) == {(0, 0, 0)}
 
 
 def test_collision_sample_count_guarantee():
@@ -282,11 +359,9 @@ def test_collision_sample_count_guarantee():
 
 
 def test_collision_fine_resample_corpus():
-    # The checker samples at most one cell apart, so it is blind to
-    # incursions shorter than the gap between samples. On a corpus of slow
-    # primitives (true inter-sample travel well under one cell) an accepted
-    # primitive must stay clean when re-sampled ten times finer. Seed 23 is
-    # vetted: faster draw regimes do graze corners between samples.
+    # Full-speed primitives on corpus-like maps: every primitive the check
+    # accepts stays in free cells when sampled 1000 times finer than one
+    # cell per sample.
     rng = random.Random(23)
     grids = [random_grid((20, 20, 1), 0.5, 0.2, seed=2300 + k)
              for k in range(10)]
@@ -297,23 +372,25 @@ def test_collision_fine_resample_corpus():
         grid = grids[rng.randrange(10)]
         x0 = State.of(
             (rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5), 0.25),
-            (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0))
-        u = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0)
+            (rng.uniform(-v_max, v_max), rng.uniform(-v_max, v_max), 0.0))
+        u = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0)
         prim = propagate(x0, u, 1.0, rho=1.0)
         if not check_dynamics(prim, DynBounds(v_max=v_max)):
             continue
         if not check_collision(prim, grid, v_max):
             continue
         accepted += 1
-        fine = grid.resolution / 10.0
-        steps = max(1, math.ceil(prim.tau * v_max / fine))
+        steps = 1000 * max(1, math.ceil(prim.tau * v_max / grid.resolution))
         ts = np.linspace(0.0, prim.tau, steps + 1)
-        xs = [np.polynomial.polynomial.polyval(ts, prim.axis_polys[ax].coeffs)
-              for ax in range(3)]
-        for i in range(len(ts)):
-            p = (float(xs[0][i]), float(xs[1][i]), float(xs[2][i]))
-            if not grid.is_free_at(p):
-                misses.append((accepted, float(ts[i]), p))
+        ix, iy, iz = (np.floor((np.polynomial.polynomial.polyval(
+            ts, prim.axis_polys[ax].coeffs) - grid.origin[ax])
+            / grid.resolution).astype(int) for ax in range(3))
+        nx, ny, nz = grid.dims
+        inside = ((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+                  & (iz >= 0) & (iz < nz))
+        cells = np.frombuffer(grid.cells, dtype=np.uint8)
+        if not inside.all() or cells[ix + nx * (iy + ny * iz)].any():
+            misses.append((accepted, x0, u))
     assert misses == []
 
 

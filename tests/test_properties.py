@@ -7,11 +7,15 @@ is written, so a run is reproducible and leaves no files behind.
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinoplan.cli import UsageError, _parse_floats, _parse_state
-from kinoplan.gridmap import OccupancyGrid, dumps_grid, loads_grid
+from kinoplan.gridmap import (OccupancyGrid, dumps_grid, loads_grid,
+                              primitive_tails, swept_cells)
+from kinoplan.lattice import propagate
+from kinoplan.lti import State
 from kinoplan.polyalg import Poly1
 from kinoplan.refine import SplineTrajectory
 from kinoplan.trajio import dumps_segments, loads_segments, write_segments
@@ -43,6 +47,94 @@ def grids(draw):
 def test_grid_text_round_trip(grid):
     back = loads_grid(dumps_grid(grid))
     assert back == grid and repr(back) == repr(grid)
+
+
+# ----------------------------------------------------------- swept cells
+
+
+@st.composite
+def primitive_on_grid(draw):
+    """(primitive, grid origin, resolution) with the start on a grid plane,
+    mid-cell or anywhere, and steps that are dyadic or not."""
+    order = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        tau = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        r = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+        nice = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    else:
+        tau = draw(st.floats(0.05, 2.0))
+        r = draw(st.floats(0.1, 2.0))
+        nice = st.sampled_from([-1.5, -0.3, 0.0, 0.7, 1.1])
+    num = st.one_of(nice, st.floats(-2.0, 2.0))
+    origin = tuple(draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
+                   for _ in range(3))
+    phase = st.one_of(st.sampled_from([0.0, 0.5]),
+                      st.floats(0.0, 1.0, exclude_max=True))
+    pos = tuple(o + r * (draw(st.integers(-20, 20)) + draw(phase))
+                for o in origin)
+    higher = [tuple(draw(num) for _ in range(3)) for _ in range(order - 1)]
+    u = tuple(draw(num) for _ in range(3))
+    return propagate(State((pos, *higher)), u, tau, 0.0), origin, r
+
+
+def sampled_rule_cells(prim, origin, r, density):
+    """The cells the sampled collision rule visits: samples at
+    t = tau * i / steps (tau itself last), steps = density times the count
+    that keeps one sample per cell at the primitive's top speed, each
+    sample Horner's scheme on the displacement plus the start position."""
+    tau = prim.tau
+    speed = max(abs(p.derivative().eval(t)) for p in prim.axis_polys
+                for t in np.linspace(0.0, tau, 65))
+    steps = density * max(1, math.ceil(tau * (1.25 * speed + 1e-3) / r))
+    i = np.arange(steps + 1)
+    ts = tau * i / steps
+    ts[-1] = tau
+    cells = []
+    for p, o in zip(prim.axis_polys, origin):
+        tail = p.coeffs[1:]
+        acc = np.full_like(ts, tail[-1])
+        for c in reversed(tail[:-1]):
+            acc = acc * ts + c
+        cells.append(np.floor((p.coeffs[0] + acc * ts - o) / r))
+    return set(map(tuple, np.stack(cells, 1).astype(int).tolist()))
+
+
+def _case(derivs, u, tau, origin, r):
+    return propagate(State(derivs), u, tau, 0.0), origin, r
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(primitive_on_grid())
+# Cases random search once found, one per rounding rule of swept_cells: an
+# axis that ends a hair past the plane it left, a negligible cubic, an
+# ill-conditioned cubic, an exact landing from above outside an exact
+# frame, two axes crossing 1e-16 s apart, an axis a few ulps short of its
+# plane while two others land exactly, and a vertex a few ulps past one.
+@example(_case(((1.0, 0.0, 0.0), (0.0, -1.5, -1.5)),
+               (-2.4159278936701765e-81, -1.5, -1.5), 1.0, (0.0,) * 3, 1.0))
+@example(_case(((0.0,) * 3, (-2.0,) * 3, (-2.0,) * 3),
+               (-2.0, -2.0, 1.7817334732842904e-105), 0.25, (0.0,) * 3,
+               0.125))
+@example(_case(((0.0,) * 3, (-1.5, -0.3, -1.5), (-1.5,) * 3),
+               (-1.5, 1e-08, -1.5), 1.0, (0.0,) * 3, 1.0))
+@example(_case(((0.0, 0.0, 17.41941596155174), (-2.0,) * 3), (-2.0,) * 3,
+               1.0, (0.0, 0.0, 0.41941596155174016), 1.0))
+@example(_case(((0.0, 0.0, 0.25), (-2.0, -2.0, 0.9999999999999999)),
+               (-2.0, -2.0, -1.0), 1.0, (0.0,) * 3, 0.125))
+@example(_case(((0.0,) * 3, (-2.0, -2.0, 0.0)),
+               (-2.0, 2.0, 1.9999999999999998), 2.0, (0.0,) * 3, 0.125))
+@example(_case(((0.0,) * 3, (-2.0, -2.0, 1.0)),
+               (-2.0, 1.9999999999999998, -1.0), 2.0, (0.0,) * 3, 0.125))
+def test_swept_cells_hold_every_sampled_cell(case):
+    prim, origin, r = case
+    grid = OccupancyGrid(origin, r, (1, 1, 1), b"\0")
+    (kx, ky, kz), phase = grid.cell_phase(prim.x0.pos)
+    swept = swept_cells(primitive_tails(prim), prim.tau, r, phase,
+                         grid.exact_frame)
+    for density in (1, 1000):
+        rel = {(x - kx, y - ky, z - kz)
+               for x, y, z in sampled_rule_cells(prim, origin, r, density)}
+        assert rel <= swept, (density, sorted(rel - swept))
 
 
 # --------------------------------------------------------------- segments

@@ -13,11 +13,12 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from kinoplan import search as search_module
 from kinoplan.gridmap import (CellState, DynBounds, OccupancyGrid,
-                              check_dynamics, random_grid)
+                              check_collision, check_dynamics, random_grid)
 from kinoplan.lattice import lattice_key, make_control_set, propagate
 from kinoplan.lti import State
 from kinoplan.search import (
@@ -192,16 +193,63 @@ def test_successors_prune_speeding_controls():
 # ------------------------------------------ edge table vs brute force
 
 
-def sampled_free(prim, grid, v_max, unknown_is_free):
-    """The collision sampling rule, evaluated point by point with Horner."""
-    steps = max(1, math.ceil(prim.tau * v_max / grid.resolution))
-    for i in range(steps + 1):
-        t = prim.tau if i == steps else prim.tau * i / steps
-        v = grid.value_at(tuple(p.eval(t) for p in prim.axis_polys))
-        if not (v == CellState.FREE
-                or (unknown_is_free and v == CellState.UNKNOWN)):
-            return False
-    return True
+ORACLE_SAMPLES = 2001
+
+
+def oracle_cells(prim, grid):
+    """Every cell the primitive's path meets, found without the planner.
+
+    The path is sampled densely, at its critical points too, so a vertex
+    that touches a plane is seen. Between two samples whose cells differ
+    by more than one step, as at a corner, bisection closes in on each
+    crossing until the two times are adjacent floats, and the cells on
+    both sides are kept with every axis read at that time, so the corner
+    shows the cells the path passes.
+    """
+    polys = prim.axis_polys
+    r, origin = grid.resolution, grid.origin
+
+    def cell(t):
+        return tuple(math.floor((p.eval(t) - o) / r)
+                     for p, o in zip(polys, origin))
+
+    tau = prim.tau
+    ts = [np.linspace(0.0, tau, ORACLE_SAMPLES)]
+    for p in polys:
+        dp = p.derivative()
+        if any(dp.coeffs):
+            ts.append([t.real for t in np.roots(dp.coeffs[::-1])
+                       if abs(t.imag) < 1e-12 and 0.0 < t.real < tau])
+    ts = np.unique(np.concatenate(ts))
+    ks = np.stack([np.floor((np.polynomial.polynomial.polyval(ts, p.coeffs)
+                             - o) / r) for p, o in zip(polys, origin)], 1)
+    steps = np.flatnonzero((ks[1:] != ks[:-1]).any(axis=1))
+    found = {tuple(k) for k in ks[np.r_[0, steps + 1]].astype(int).tolist()}
+    # Where one axis moves by one cell between two samples, the cells on
+    # both sides of its crossing are those two samples' cells already.
+    for i in steps[(np.abs(ks[steps + 1] - ks[steps]).sum(axis=1) > 1)]:
+        ta, tb = float(ts[i]), float(ts[i + 1])
+        ca, cb = cell(ta), cell(tb)
+        while ca != cb:
+            # Bisect onto the first change, then go on from there.
+            lo, hi = ta, tb
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                if cell(mid) == ca:
+                    lo = mid
+                else:
+                    hi = mid
+            found.update((cell(lo), cell(hi)))
+            ta, ca = hi, cell(hi)
+    return found
+
+
+def oracle_free(prim, grid, unknown_is_free):
+    free = (CellState.FREE, CellState.UNKNOWN) if unknown_is_free else (
+        CellState.FREE,)
+    return all(grid.value(*c) in free for c in oracle_cells(prim, grid))
 
 
 def brute_successors(s, cfg, grid):
@@ -209,8 +257,7 @@ def brute_successors(s, cfg, grid):
     for u in cfg.control_set.controls:
         prim = propagate(s, u, cfg.tau, cfg.rho)
         if (check_dynamics(prim, cfg.bounds)
-                and sampled_free(prim, grid, cfg.bounds.v_max,
-                                 cfg.unknown_is_free)):
+                and oracle_free(prim, grid, cfg.unknown_is_free)):
             out.append(prim)
     return out
 
@@ -288,6 +335,13 @@ def test_successors_equal_brute_force(case):
             (p.u, p.cost, p.end_state()) for p in want]
         assert [key for *_rest, key in got] == [
             lattice_key(p.end_state(), d_u, tau, origin) for p in want]
+        # The planner keeps an edge iff check_collision accepts it.
+        kept_u = {u for u, *_rest in got}
+        for u in cfg.control_set.controls:
+            prim = propagate(s, u, cfg.tau, cfg.rho)
+            if check_dynamics(prim, cfg.bounds):
+                assert (u in kept_u) == check_collision(
+                    prim, grid, cfg.bounds.v_max, cfg.unknown_is_free)
         kept += len(want)
         pruned += len(cfg.control_set.controls) - len(want)
     assert kept and pruned
@@ -849,25 +903,28 @@ def test_zero_rho_is_pure_effort_search():
 
 # ------------------------------------------------------ regression lock
 
-# (status, expanded, repr(total_cost)) recorded before the edge table and
-# the cost-only heuristic went in; the search must stay the same bit for
-# bit. Corpus seeds are the first twelve outside the acceptance corpus's
-# vetted list.
+# (status, expanded, repr(total_cost)). First recorded before the edge
+# table and the cost-only heuristic went in; re-recorded when collision
+# became an exact swept-cell test. Where the earlier path was clean, only
+# the expansion count moved (corpus 13 and 27, jerk 3 and 4, CLI 1 and 2),
+# since the exact test prunes clipping edges elsewhere in the search;
+# every other entry's earlier path clipped an occupied cell. Corpus seeds
+# are the first twelve outside the acceptance corpus's former vetted list.
 LOCKED_CORPUS = {
-    3: ("Solved", 65, "15.0"), 4: ("NoPath", 1083, "inf"),
-    5: ("Solved", 79, "17.0"), 6: ("Solved", 289, "24.0"),
-    9: ("Solved", 59, "15.0"), 10: ("Solved", 19, "15.0"),
-    11: ("Solved", 88, "16.0"), 13: ("Solved", 74, "16.0"),
-    15: ("Solved", 93, "17.0"), 24: ("Solved", 87, "17.0"),
-    25: ("Solved", 86, "16.0"), 27: ("Solved", 90, "18.0"),
+    3: ("Solved", 62, "15.0"), 4: ("NoPath", 1008, "inf"),
+    5: ("Solved", 77, "17.0"), 6: ("Solved", 261, "24.0"),
+    9: ("Solved", 59, "16.0"), 10: ("Solved", 42, "17.0"),
+    11: ("Solved", 110, "17.0"), 13: ("Solved", 60, "16.0"),
+    15: ("Solved", 183, "19.0"), 24: ("Solved", 78, "17.0"),
+    25: ("Solved", 166, "18.0"), 27: ("Solved", 81, "18.0"),
 }
-LOCKED_CLI_3D = {0: ("Solved", 52, "8.0"), 1: ("Solved", 77, "9.0"),
-                 2: ("Solved", 42, "8.0")}
+LOCKED_CLI_3D = {0: ("Solved", 52, "8.0"), 1: ("Solved", 60, "9.0"),
+                 2: ("Solved", 41, "8.0")}
 # Order 3 with an acceleration bound, and a lattice whose steps are not
 # dyadic fractions, on the same 20 x 20 maps.
 LOCKED_OTHER = {
-    ("jerk", 3): ("Solved", 37, "15.0"), ("jerk", 4): ("Solved", 65, "20.0"),
-    ("non_dyadic", 4): ("Solved", 359, "5.85"),
+    ("jerk", 3): ("Solved", 34, "15.0"), ("jerk", 4): ("Solved", 45, "20.0"),
+    ("non_dyadic", 4): ("Solved", 728, "6.1499999999999995"),
 }
 
 
