@@ -13,10 +13,9 @@ import os
 import sys
 
 from .gridmap import (DynBounds, MapParseError, OccupancyGrid, load_grid,
-                      random_grid, save_grid)
+                      random_grid, save_grid, segment_free, within_bounds)
 from .lattice import make_control_set
 from .lti import NoFiniteMinimumError, State
-from .polyalg import Interval, extrema_on
 from .refine import SplineTrajectory, refine, waypoints_from_plan
 from .search import (GoalSpec, Heuristic, MissingBoundError, PlannerConfig,
                      PlanResult, PlanStatus, StartInfeasibleError, plan)
@@ -95,29 +94,16 @@ def _print_summary(status: PlanStatus, cost: float, expanded: int,
 
 def _post_check(traj: SplineTrajectory, grid: OccupancyGrid,
                 bounds: DynBounds, unknown_is_free: bool) -> None:
-    """Report (never repair) collision or bound violations of a spline."""
-    step = grid.resolution / 10.0
-    bad_cells = 0
-    n_samples = 0
-    t = 0.0
-    while t <= traj.duration:
-        s = traj.state_at(t)
-        n_samples += 1
-        if not grid.is_free_at(s.pos, unknown_is_free):
-            bad_cells += 1
-        t += step
-    bad_bounds = 0
-    span_checks = ((1, bounds.v_max), (2, bounds.a_max), (3, bounds.j_max))
-    for tau, polys in zip(traj.seg_times, traj.segments):
-        for order, bound in span_checks:
-            if bound is None:
-                continue
-            for p in polys:
-                mn, mx = extrema_on(p.derivative(order), Interval(0.0, tau))
-                if mn < -bound or mx > bound:
-                    bad_bounds += 1
-    print(f"post-check: {bad_cells}/{n_samples} samples in collision, "
-          f"{bad_bounds} derivative bound violations", file=sys.stderr)
+    """Report (never repair) the spline's segments that collide or leave
+    the derivative bounds, both tested exactly."""
+    segs = tuple(zip(traj.seg_times, traj.segments))
+    colliding = sum(not segment_free(polys, tau, grid, unknown_is_free)
+                    for tau, polys in segs)
+    out_of_bounds = sum(not within_bounds(polys, tau, bounds)
+                        for tau, polys in segs)
+    print(f"post-check: {colliding}/{len(segs)} segments in collision, "
+          f"{out_of_bounds}/{len(segs)} segments outside the derivative "
+          f"bounds", file=sys.stderr)
 
 
 def cmd_plan(args) -> int:

@@ -12,9 +12,12 @@ Cell digits are 0 free, 1 occupied, 2 unknown. Anything outside the stored
 box counts as occupied. Unknown cells count as occupied unless the caller
 opts into treating them as free.
 
-A primitive is collision-free when every cell its path meets on [0, tau]
-is free: swept_cells walks the closed-form times at which each axis
-polynomial crosses a grid plane, so no cell is skipped between samples.
+Two exact tests take any three axis position polynomials on [0, tau]:
+within_bounds bounds each derivative's extrema, and segment_free needs
+every cell the path meets to be free (swept_cells walks the closed-form
+times at which each axis polynomial crosses a grid plane, so no cell is
+skipped between samples). check_dynamics and check_collision run them on
+a primitive, the CLI's post-check on each refined segment.
 """
 
 from __future__ import annotations
@@ -87,11 +90,7 @@ class OccupancyGrid:
 
     def cell_index(self, p) -> tuple[int, int, int]:
         """Integer cell containing p; may fall outside the stored box."""
-        r = self.resolution
-        o = self.origin
-        return (math.floor((p[0] - o[0]) / r),
-                math.floor((p[1] - o[1]) / r),
-                math.floor((p[2] - o[2]) / r))
+        return self.cell_phase(p)[0]
 
     def value(self, ix: int, iy: int, iz: int) -> CellState:
         nx, ny, nz = self.dims
@@ -109,12 +108,7 @@ class OccupancyGrid:
         Unknown cells count as free only when unknown_is_free; cells outside
         the stored box are occupied.
         """
-        ix, iy, iz = self.cell_index(p)
-        nx, ny, nz = self.dims
-        if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
-            return False
-        free = _FREE_OR_UNKNOWN if unknown_is_free else _FREE_ONLY
-        return self.cells[ix + nx * (iy + ny * iz)] in free
+        return self.any_free_in_box(p, p, unknown_is_free)
 
     def cell_phase(self, p) -> tuple[tuple[int, int, int], Vec3]:
         """cell_index(p), and p's offset inside that cell in cells.
@@ -161,8 +155,8 @@ class OccupancyGrid:
                    for iz in spans[2] for iy in spans[1] for ix in spans[0])
 
 
-# Cell values is_free_at and any_free_in_box accept, as plain ints for a
-# fast membership test.
+# Cell values any_free_in_box accepts, as plain ints for a fast membership
+# test.
 _FREE_ONLY = (int(CellState.FREE),)
 _FREE_OR_UNKNOWN = (int(CellState.FREE), int(CellState.UNKNOWN))
 
@@ -264,22 +258,28 @@ def random_grid(dims: tuple[int, int, int], resolution: float, density: float,
                          (int(nx), int(ny), int(nz)), cells)
 
 
-def check_dynamics(prim: MotionPrimitive, bounds: DynBounds) -> bool:
-    """True iff every bounded derivative stays within its limit on [0, tau].
+def within_bounds(polys, tau: float, bounds: DynBounds) -> bool:
+    """True iff every bounded derivative of each of the three axis
+    polynomials stays within its limit on [0, tau].
 
     The check is exact: each derivative is a polynomial whose extrema are
     found from the roots of the next derivative, and the comparison against
     the bound is inclusive.
     """
-    span = Interval(0.0, prim.tau)
+    span = Interval(0.0, tau)
     for order, bound in ((1, bounds.v_max), (2, bounds.a_max), (3, bounds.j_max)):
         if bound is None:
             continue
-        for poly in prim.axis_polys:
+        for poly in polys:
             mn, mx = extrema_on(poly.derivative(order), span)
             if mn < -bound or mx > bound:
                 return False
     return True
+
+
+def check_dynamics(prim: MotionPrimitive, bounds: DynBounds) -> bool:
+    """within_bounds of the primitive's position polynomials."""
+    return within_bounds(prim.axis_polys, prim.tau, bounds)
 
 
 # Rounding slack of the swept-cell test. A piece of path that ends within
@@ -356,8 +356,10 @@ def _cluster_mix(cluster, coeffs, phase, exact_frame, seen):
     A sample among events at different times, or at one time outside an
     exact frame, may round either way on every axis that moves there. At
     one time in an exact frame, an axis that lands exactly on its plane
-    shows that cell, and the others may round either way; when none lands
-    exactly, no sample falls at that instant.
+    shows that cell, and the others may round either way. When none lands
+    exactly and every event is a plane crossing, no sample falls at that
+    instant; an event without a plane is an axis ending within PLANE_TOL
+    of one at a knot, where samples do fall.
     """
     if len({ev[1] for ev in cluster}) < 2:
         return None
@@ -369,7 +371,7 @@ def _cluster_mix(cluster, coeffs, phase, exact_frame, seen):
         if plane is not None and _lands_exactly(coeffs[ax], phase[ax], t,
                                                 plane):
             exact[ax] = exact.get(ax, ()) + at
-    if not exact:
+    if not exact and all(ev[4] is not None for ev in cluster):
         return None
     return [exact.get(ax, seen[ax]) for ax in range(3)]
 
@@ -435,9 +437,11 @@ def _plane_time(c: tuple[float, ...], c0: float, lo: float,
         if d < dist:
             best, dist = r, d
     t = min(max(best, lo), hi)
-    if abs(_horner(cs, t)) > PLANE_TOL:
+    f = Poly1(cs)
+    if abs(f.eval(t)) > PLANE_TOL * min(1.0, abs(f.derivative().eval(t))):
         # A closed form loses its small roots when the leading coefficient
-        # is tiny beside the others; f is monotone here, so bisect.
+        # is tiny beside the others, and a small residual where f is flat
+        # may be far from the root; f is monotone here, so bisect.
         f_lo = _horner(cs, lo)
         t = lo if f_lo == 0.0 else _bisect(cs, lo, hi, f_lo)
     return t
@@ -463,22 +467,29 @@ def primitive_tails(prim: MotionPrimitive) -> tuple[tuple[float, ...], ...]:
     return tuple(p.coeffs[1:] for p in prim.axis_polys)
 
 
-def check_collision(prim: MotionPrimitive, grid: OccupancyGrid,
-                    v_max: float | None = None,
-                    unknown_is_free: bool = False) -> bool:
-    """True iff every cell the primitive's path meets on [0, tau] is free.
+def segment_free(polys, tau: float, grid: OccupancyGrid,
+                 unknown_is_free: bool = False) -> bool:
+    """True iff every cell the path of the three axis position polynomials
+    meets on [0, tau] is free.
 
     The cells are those of swept_cells, so the test is exact up to
-    PLANE_TOL; v_max is not used. EdgeTable.successors runs the same test
-    on the same swath.
+    PLANE_TOL, for polynomials of any degree. EdgeTable.successors runs
+    the same test on the same swath.
     """
-    (kx, ky, kz), phase = grid.cell_phase(prim.x0.pos)
+    (kx, ky, kz), phase = grid.cell_phase(tuple(p.coeffs[0] for p in polys))
     lo_x, hi_x, lo_y, hi_y, lo_z, hi_z, deltas = swath(
-        swept_cells(primitive_tails(prim), prim.tau, grid.resolution, phase,
-                    grid.exact_frame), grid.dims)
+        swept_cells(tuple(p.coeffs[1:] for p in polys), tau, grid.resolution,
+                    phase, grid.exact_frame), grid.dims)
     if not (lo_x <= kx < hi_x and lo_y <= ky < hi_y and lo_z <= kz < hi_z):
         return False
     nx, ny, _nz = grid.dims
     base = kx + nx * (ky + ny * kz)
     blocked = grid.blocked_mask(unknown_is_free)
     return not any(blocked[base + d] for d in deltas)
+
+
+def check_collision(prim: MotionPrimitive, grid: OccupancyGrid,
+                    v_max: float | None = None,
+                    unknown_is_free: bool = False) -> bool:
+    """segment_free of the primitive's polynomials; v_max is not used."""
+    return segment_free(prim.axis_polys, prim.tau, grid, unknown_is_free)

@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .polyalg import (LEADING_COEFF_CUTOFF, Poly1, _polish,
-                      _roots_quartic_depressed, real_roots)
+                      _roots_quartic_depressed, derivatives_evaluator,
+                      real_roots)
 
 Vec3 = tuple[float, float, float]
 
@@ -122,10 +123,7 @@ class LqmtSolution(NamedTuple):
     cost_total: float
 
     def state_at(self, t: float, n: int) -> State:
-        derivs = []
-        for i in range(n):
-            derivs.append(tuple(p.derivative(i).eval(t) for p in self.axis_polys))
-        return State(tuple(derivs))
+        return State(derivatives_evaluator(self.axis_polys, n)(t))
 
 
 def _check_order(n: int) -> int:
@@ -173,34 +171,27 @@ def gramian(n: int, T: float) -> np.ndarray:
     return W
 
 
-def _normalized_gramian_inverses() -> dict[int, tuple[tuple[float, ...], ...]]:
-    out = {}
-    for n in ORDERS:
-        out[n] = tuple(tuple(row) for row in np.linalg.inv(_axis_gramian(n, 1.0)))
-    return out
-
-
 # Inverse of the unit-horizon axis Gramian; the general horizon follows by
 # the exact scaling W(T) = D What D with D = diag(T**(n-1-i+1/2)).
-_UNIT_GRAMIAN_INV = _normalized_gramian_inverses()
+_UNIT_GRAMIAN_INV = {
+    n: tuple(tuple(row) for row in np.linalg.inv(_axis_gramian(n, 1.0)))
+    for n in ORDERS}
 
 
-def _boundary_inverses() -> dict[int, np.ndarray]:
-    out = {}
-    for n in ORDERS:
-        m = 2 * n
-        M = np.zeros((m, m))
-        for i in range(n):
-            M[i, i] = math.factorial(i)
-            for k in range(i, m):
-                M[n + i, k] = math.factorial(k) / math.factorial(k - i)
-        out[n] = np.linalg.inv(M)
-    return out
+def _deriv_row(m: int, i: int, t: float) -> np.ndarray:
+    """Coefficient row of the i-th derivative of a degree m-1 polynomial."""
+    row = np.zeros(m)
+    for j in range(i, m):
+        row[j] = math.factorial(j) / math.factorial(j - i) * t ** (j - i)
+    return row
 
 
 # Boundary-condition solve in unit time: rows are derivatives 0..n-1 at s=0
 # and s=1 of a degree 2n-1 polynomial in s.
-_UNIT_BOUNDARY_INV = _boundary_inverses()
+_UNIT_BOUNDARY_INV = {
+    n: np.linalg.inv([_deriv_row(2 * n, i, s) for s in (0.0, 1.0)
+                      for i in range(n)])
+    for n in ORDERS}
 
 
 def effort_between(x0: State, xf: State, T: float) -> float:

@@ -39,10 +39,7 @@ class Poly1(NamedTuple):
 
     def eval(self, t: float) -> float:
         """Evaluate by Horner's scheme."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return _horner(self.coeffs, t)
 
     def derivative(self, order: int = 1) -> "Poly1":
         """Return the derivative of the given order (order >= 0)."""
@@ -293,6 +290,15 @@ def real_roots(p: Poly1, tol: float = DEFAULT_ROOT_TOL) -> list[float]:
     return out
 
 
+def derivatives_evaluator(polys, count: int):
+    """The function of t giving derivatives 0..count-1 of each of polys at
+    t, lowest order first, each by Poly1.derivative and Poly1.eval."""
+    chain = [tuple(polys)]
+    for _ in range(1, count):
+        chain.append(tuple(p.derivative() for p in chain[-1]))
+    return lambda t: tuple(tuple(p.eval(t) for p in ps) for ps in chain)
+
+
 def extrema_on(p: Poly1, iv: Interval) -> tuple[float, float]:
     """(min, max) of p over the closed interval iv.
 
@@ -305,7 +311,7 @@ def extrema_on(p: Poly1, iv: Interval) -> tuple[float, float]:
     mn = min(lo_val, hi_val)
     mx = max(lo_val, hi_val)
     dp = p.derivative()
-    if not dp.is_zero() and len(_stripped(dp.coeffs)) > 1:
+    if len(_stripped(dp.coeffs)) > 1:
         for r in real_roots(dp):
             if iv.lo < r < iv.hi:
                 v = p.eval(r)

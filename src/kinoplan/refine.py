@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
 from .lattice import MotionPrimitive
-from .lti import State, Vec3
-from .polyalg import Interval, Poly1, integral_of_square
+from .lti import State, Vec3, _deriv_row
+from .polyalg import (Interval, Poly1, derivatives_evaluator,
+                      integral_of_square)
 from .search import PlanResult, PlanStatus
 
 MIN_SEGMENT_TIME = 1e-6
@@ -60,13 +62,35 @@ class RefineSpec:
             raise ValueError("last waypoint must coincide with sg position")
 
 
+Trajectory = Union[Sequence[MotionPrimitive], "SplineTrajectory"]
+
+
+class EmptyTrajectoryError(ValueError):
+    """Sampling or serialization of a trajectory with no segments."""
+
+
 @dataclass(frozen=True)
 class SplineTrajectory:
-    """Piecewise polynomial, degree 2*order-1, one (x, y, z) triple per segment."""
+    """Piecewise polynomial: per segment a duration and an (x, y, z) triple
+    in local time whose derivatives 0..order-1 make the state (degree
+    2*order-1 when refined, order for a primitive)."""
 
     order: int
     seg_times: tuple[float, ...]
     segments: tuple[tuple[Poly1, Poly1, Poly1], ...]
+
+    @classmethod
+    def of(cls, traj: Trajectory) -> "SplineTrajectory":
+        """traj itself, or a primitive sequence read as one segment per
+        primitive. Raises EmptyTrajectoryError when there is no segment."""
+        if not isinstance(traj, SplineTrajectory):
+            prims = tuple(traj)
+            traj = cls(prims[0].x0.order if prims else 0,
+                       tuple(p.tau for p in prims),
+                       tuple(p.axis_polys for p in prims))
+        if not traj.segments:
+            raise EmptyTrajectoryError("trajectory has no segments")
+        return traj
 
     @property
     def duration(self) -> float:
@@ -75,10 +99,7 @@ class SplineTrajectory:
     def state_at(self, t: float) -> State:
         """Evaluate derivatives 0..order-1 at global time t (clamped)."""
         k, local = self._locate(t)
-        polys = self.segments[k]
-        derivs = tuple(tuple(p.derivative(i).eval(local) for p in polys)
-                       for i in range(self.order))
-        return State(derivs)
+        return State(derivatives_evaluator(self.segments[k], self.order)(local))
 
     def _locate(self, t: float) -> tuple[int, float]:
         if t <= 0.0:
@@ -89,14 +110,6 @@ class SplineTrajectory:
                 return k, min(t - acc, tau)
             acc += tau
         return len(self.seg_times) - 1, self.seg_times[-1]
-
-
-def _deriv_row(m: int, i: int, t: float) -> np.ndarray:
-    """Coefficient row of the i-th derivative of a degree m-1 polynomial."""
-    row = np.zeros(m)
-    for j in range(i, m):
-        row[j] = math.factorial(j) / math.factorial(j - i) * t ** (j - i)
-    return row
 
 
 def _hessian_block(n_prime: int, m: int, tau: float) -> np.ndarray:

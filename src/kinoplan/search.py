@@ -411,12 +411,10 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
     edges = EdgeTable(cfg, grid, origin)
     states = edges._states
 
-    g_best: dict[LatticeKey, float] = {key0: 0.0}
-    state_of: dict[LatticeKey, State] = {key0: start}
-    # Parent key, parent state, control and edge cost of the cheapest
-    # arrival.
-    arrival: dict[LatticeKey, tuple[LatticeKey, State, Vec3, float]] = {}
-    closed: set[LatticeKey] = set()
+    # Per lattice key: [g, state, closed, arrival], where arrival is the
+    # parent key, parent state, control and edge cost of the cheapest
+    # arrival found so far.
+    nodes: dict[LatticeKey, list] = {key0: [0.0, start, False, None]}
     counter = 0
     heap: list[tuple[float, float, int, int, LatticeKey]] = [
         (weight * hfun(start), 0.0, 0, counter, key0)]
@@ -428,9 +426,10 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
     while heap:
         _f, neg_g, _idx, _seq, key = heappop(heap)
         g = -neg_g
-        if key in closed or g > g_best[key] + G_DOMINANCE_MARGIN:
+        node = nodes[key]
+        if node[2] or g > node[0] + G_DOMINANCE_MARGIN:
             continue
-        s = state_of[key]
+        s = node[1]
         if goal_reached(s, goal, cfg):
             status = PlanStatus.SOLVED
             goal_key = key
@@ -438,22 +437,19 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
         if expanded >= cfg.max_expansions:
             status = PlanStatus.EXPANSION_LIMIT
             break
-        closed.add(key)
+        node[2] = True
         expanded += 1
         for idx, (u, cost, s2, k2) in enumerate(edges.successors(s)):
             if edge_hook is not None:
                 edge_hook(s, MotionPrimitive(s, u, tau, cost))
             g2 = g + cost
-            old = g_best.get(k2)
-            if old is not None and g2 >= old - G_DOMINANCE_MARGIN:
+            old = nodes.get(k2)
+            if old is not None and g2 >= old[0] - G_DOMINANCE_MARGIN:
                 continue
-            g_best[k2] = g2
-            # The shared object, so the heuristic memo, state_of, arrival
-            # and the returned chain hold one State per float state.
+            # The shared object, so the heuristic memo, the node map and
+            # the returned chain hold one State per float state.
             s2 = states.setdefault(s2.derivs, s2)
-            state_of[k2] = s2
-            arrival[k2] = (key, s, u, cost)
-            closed.discard(k2)
+            nodes[k2] = [g2, s2, False, (key, s, u, cost)]
             counter += 1
             heappush(heap, (g2 + weight * hfun(s2), -g2, idx, counter, k2))
 
@@ -464,7 +460,7 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
     chain: list[MotionPrimitive] = []
     key = goal_key
     while key != key0:
-        key, parent, u, cost = arrival[key]
+        key, parent, u, cost = nodes[key][3]
         chain.append(MotionPrimitive(parent, u, tau, cost))
     chain.reverse()
     total = 0.0

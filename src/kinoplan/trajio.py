@@ -2,27 +2,21 @@
 
 Two on-disk forms: a CSV of sampled derivatives for plotting, and an exact
 segment listing (duration plus monomial coefficients per axis) that parses
-back bit-identically. Both primitive sequences and refined splines are
-accepted wherever a trajectory is expected.
+back bit-identically. Wherever a trajectory is expected, a refined spline
+or a primitive sequence is accepted: SplineTrajectory.of reads the latter
+as a spline with one segment per primitive, so sampling and writing see
+one piecewise type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
 
-from .lattice import MotionPrimitive
-from .polyalg import Poly1
-from .refine import SplineTrajectory
-
-Trajectory = Union[Sequence[MotionPrimitive], SplineTrajectory]
+from .polyalg import Poly1, derivatives_evaluator
+from .refine import EmptyTrajectoryError, SplineTrajectory, Trajectory
 
 _DERIV_NAMES = ("p", "v", "a", "j", "s")
-
-
-class EmptyTrajectoryError(ValueError):
-    """Sampling or serialization of a trajectory with no segments."""
 
 
 @dataclass(frozen=True)
@@ -36,21 +30,6 @@ class SampledTrajectory:
         return tuple(r[0] for r in self.rows)
 
 
-def _as_segments(traj: Trajectory) -> tuple[int, tuple[float, ...],
-                                            tuple[tuple[Poly1, Poly1, Poly1], ...]]:
-    """Normalize to (derivative order, segment times, axis polynomials)."""
-    if isinstance(traj, SplineTrajectory):
-        if not traj.segments:
-            raise EmptyTrajectoryError("spline has no segments")
-        return traj.order, traj.seg_times, traj.segments
-    prims = tuple(traj)
-    if not prims:
-        raise EmptyTrajectoryError("no primitives to sample")
-    order = prims[0].x0.order
-    return (order, tuple(p.tau for p in prims),
-            tuple(p.axis_polys for p in prims))
-
-
 def sample(traj: Trajectory, dt: float) -> SampledTrajectory:
     """Evaluate derivatives 0..order on a dt grid plus all segment bounds.
 
@@ -60,27 +39,23 @@ def sample(traj: Trajectory, dt: float) -> SampledTrajectory:
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    order, taus, segment_polys = _as_segments(traj)
+    spline = SplineTrajectory.of(traj)
+    taus = spline.seg_times
 
     starts = [0.0]
     for tau in taus:
         starts.append(starts[-1] + tau)
     total = starts[-1]
 
-    times = {0.0, total}
-    times.update(starts[1:-1])
+    times = set(starts)
     k = 1
-    while True:
-        t = k * dt
-        if t >= total:
-            break
-        times.add(t)
+    while k * dt < total:
+        times.add(k * dt)
         k += 1
     ts = sorted(times)
 
-    derivs = [tuple(tuple(p.derivative(i) for p in polys) for i in range(order + 1))
-              for polys in segment_polys]
-
+    evals = [derivatives_evaluator(polys, spline.order + 1)
+             for polys in spline.segments]
     rows = []
     seg = 0
     last = len(taus) - 1
@@ -89,10 +64,10 @@ def sample(traj: Trajectory, dt: float) -> SampledTrajectory:
             seg += 1
         local = min(max(t - starts[seg], 0.0), taus[seg])
         row = [t]
-        for dpolys in derivs[seg]:
-            row.extend(p.eval(local) for p in dpolys)
+        for vals in evals[seg](local):
+            row.extend(vals)
         rows.append(tuple(row))
-    return SampledTrajectory(order, tuple(rows))
+    return SampledTrajectory(spline.order, tuple(rows))
 
 
 def write_csv(sampled: SampledTrajectory, path: str) -> None:
@@ -112,9 +87,10 @@ def write_csv(sampled: SampledTrajectory, path: str) -> None:
 
 def dumps_segments(traj: Trajectory) -> str:
     """Exact text form: per segment its duration and monomial coefficients."""
-    order, taus, segment_polys = _as_segments(traj)
-    lines = ["segtraj v1 monomial", f"order {order}", f"count {len(taus)}"]
-    for tau, polys in zip(taus, segment_polys):
+    spline = SplineTrajectory.of(traj)
+    lines = ["segtraj v1 monomial", f"order {spline.order}",
+             f"count {len(spline.seg_times)}"]
+    for tau, polys in zip(spline.seg_times, spline.segments):
         lines.append(f"seg {tau!r}")
         for tag, poly in zip("xyz", polys):
             lines.append(tag + " " + " ".join(repr(c) for c in poly.coeffs))

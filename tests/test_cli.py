@@ -5,10 +5,13 @@ cheap to assert; one subprocess smoke test proves the module entry point
 works outside the test harness.
 """
 
+import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kinoplan
@@ -216,6 +219,34 @@ def test_plan_refined_outputs(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == \
         "t,px,py,pz,vx,vy,vz,ax,ay,az,jx,jy,jz"
     assert "post-check:" in err
+
+
+def test_plan_post_check_reports_each_refined_segment(tmp_path, capsys):
+    # On this map the refined spline leaves the lattice path's cells: some
+    # of its segments clip when sampled finely.
+    m = make_map(capsys, tmp_path / "m.grid", seed=5, density=0.15)
+    segs = tmp_path / "traj.segs"
+    query = ["plan", "--map", m, "--start", "1,1,0.25", "--goal", "8,8,0.25",
+             "--goal-rest", "--refine", "--out-segs", str(segs), *PLAN_FLAGS]
+    code, out, err = run_cli(capsys, *query, "--post-check")
+    plain_code, plain_out, _ = run_cli(capsys, *query)
+    assert (code, out.split()[:3]) == (plain_code, plain_out.split()[:3])
+    assert code == 0 and len(out.splitlines()) == 1
+    match = re.fullmatch(r"post-check: (\d+)/(\d+) segments in collision, "
+                         r"(\d+)/(\d+) segments outside the derivative "
+                         r"bounds\n", err)
+    assert match, err
+    colliding, count, _bad, count_again = map(int, match.groups())
+    spline = kinoplan.read_segments(str(segs))
+    assert count == count_again == len(spline.seg_times)
+    grid = load_grid(m)
+    clipping = 0
+    for tau, polys in zip(spline.seg_times, spline.segments):
+        ts = np.linspace(0.0, tau, 4001)
+        cells = {tuple(math.floor(p.eval(t) / grid.resolution)
+                       for p in polys) for t in ts}
+        clipping += any(grid.value(*c) != 0 for c in cells)
+    assert 1 <= clipping <= colliding
 
 
 def test_plan_moving_start_six_numbers(tmp_path, capsys):

@@ -20,10 +20,13 @@ from kinoplan.gridmap import (
     random_grid,
     primitive_tails,
     save_grid,
+    segment_free,
     swept_cells,
+    within_bounds,
 )
 from kinoplan.lattice import propagate
 from kinoplan.lti import State
+from kinoplan.polyalg import Poly1
 
 
 SMALL = """gridmap v1
@@ -332,6 +335,64 @@ def test_swept_cells_of_a_jerk_primitive_follow_the_cubic():
         (0, 0, 0), (1, 0, 0), (1, -1, 0), (2, -1, 0), (2, -2, 0),
         (3, -2, 0), (3, -3, 0)}
     assert swept_cells(tails, 1.0, 0.5, (0.5, 0.5, 0.5), True) == {(0, 0, 0)}
+
+
+# A refined degree-5 segment on r = 0.5 from (1, 1): at tau = 1 both x and
+# y end a few ulps short of the plane 1.5, so Poly1.eval reads 1.5 on x and
+# 1.4999999999999998 on y, and the sample at tau is in cell (1, 0).
+SHORT_OF_ONE_PLANE = (
+    Poly1((1.0, 0.0, 0.5, 0.15807079204347693, -0.20928564192409438,
+           0.05121484988061733)),
+    Poly1((1.0, 0.0, 0.5, 0.3495688583236591, -0.46981988865368596,
+           0.12025103033002674)),
+    Poly1((0.25,)))
+
+
+def test_swept_cells_mix_two_axes_ending_short_of_one_plane():
+    x, y, _z = SHORT_OF_ONE_PLANE
+    assert (x.eval(1.0), y.eval(1.0)) == (1.5, 1.4999999999999998)
+    cells = swept_cells((x.coeffs[1:], y.coeffs[1:], ()), 1.0, 0.5,
+                        (0.0, 0.0, 0.5), True)
+    assert (1, 0, 0) in cells
+    assert (0, 1, 0) in cells
+    # The sample at tau is in cell (3, 2): occupied there, the segment
+    # collides.
+    rows = ["0000", "0000", "0001", "0000"]
+    assert not segment_free(SHORT_OF_ONE_PLANE, 1.0, grid_from_rows(rows))
+    assert segment_free(SHORT_OF_ONE_PLANE, 1.0,
+                        grid_from_rows(["0000"] * 4))
+
+
+def test_check_dynamics_and_collision_are_the_polynomial_tests():
+    rng = random.Random(7)
+    grid = random_grid((12, 12, 1), 0.5, 0.2, seed=3)
+    bounds = DynBounds(v_max=2.0, a_max=1.5)
+    verdicts = set()
+    for _ in range(200):
+        x0 = State.of((rng.uniform(1, 5), rng.uniform(1, 5), 0.25),
+                      (rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0),
+                      (rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0))
+        u = (rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0)
+        prim = propagate(x0, u, rng.uniform(0.2, 1.5), 0.0)
+        polys = prim.axis_polys
+        dyn = check_dynamics(prim, bounds)
+        free = check_collision(prim, grid)
+        assert dyn == within_bounds(polys, prim.tau, bounds)
+        assert free == segment_free(polys, prim.tau, grid)
+        verdicts.add((dyn, free))
+    assert len(verdicts) == 4
+
+
+def test_polynomial_tests_take_refined_segments():
+    # x(t) = 0.25 + 3 t**2 - 2 t**3 on [0, 1] (degree 3 tail of a quintic):
+    # it rises from 0.25 to 1.25 with peak speed 1.5 at t = 0.5.
+    x = Poly1((0.25, 0.0, 3.0, -2.0, 0.0, 0.0))
+    polys = (x, Poly1((0.25,) + (0.0,) * 5), Poly1((0.25,) + (0.0,) * 5))
+    assert within_bounds(polys, 1.0, DynBounds(v_max=1.5))
+    assert not within_bounds(polys, 1.0, DynBounds(v_max=1.49))
+    assert not within_bounds(polys, 1.0, DynBounds(a_max=5.9))
+    assert segment_free(polys, 1.0, grid_from_rows(["0001"]))
+    assert not segment_free(polys, 1.0, grid_from_rows(["0010"]))
 
 
 def test_collision_sample_count_guarantee():

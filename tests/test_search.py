@@ -362,6 +362,31 @@ def test_non_dyadic_keys_carry_several_float_states():
 # ------------------------------------------- rows shared across plans
 
 
+def test_jerk_plan_does_not_clip_where_two_axes_end_short_of_a_plane():
+    # Order 3 on map seed 6: the search once solved it through an edge whose
+    # x and y end a few ulps short of one grid plane at tau, with a sample
+    # at tau that rounds across the plane on one axis only. Whatever the
+    # status, a solved plan must stay in free cells when each primitive is
+    # sampled by Poly1.eval 1000 times finer than one sample per cell.
+    grid = random_grid((20, 20, 1), 0.5, 0.2, seed=6)
+    cfg = PlannerConfig(order=3, tau=1.0, rho=1.0,
+                        control_set=make_control_set(1.0, 1, 2),
+                        bounds=DynBounds(v_max=2.0, a_max=2.0),
+                        goal_pos_tol=0.5, goal_requires_rest=True)
+    res = plan(State.rest(3, (1.0, 1.0, 0.25)), GoalSpec((8.0, 8.0, 0.25)),
+               cfg, grid)
+    nx, ny, _nz = grid.dims
+    cells = np.frombuffer(grid.cells, dtype=np.uint8)
+    for prim in res.primitives:
+        steps = 1000 * math.ceil(prim.tau * 2.0 / grid.resolution)
+        ts = np.linspace(0.0, prim.tau, steps + 1)
+        ix, iy, iz = (np.floor(p.eval(ts) / grid.resolution).astype(int)
+                      for p in prim.axis_polys)
+        assert ((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+                & (iz == 0)).all()
+        assert not cells[ix + nx * iy].any()
+
+
 def plan_trace(start, goal, cfg, grid):
     """What a plan shows: outcome, chain and the edge_hook stream."""
     edges = []
