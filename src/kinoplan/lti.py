@@ -20,20 +20,22 @@ vv = |v0|^2 + v0.vf + |vf|^2, the effort is
 derivative of effort plus rho * T to zero gives the quartic
 rho T^4 - 4 vv T^2 + 24 vs T - 36 pp = 0, which has no cubic term, so the
 candidate horizons are its positive roots (Ferrari on the depressed form).
-Order 1 has the closed-form horizon |dp| / sqrt(rho); order 3 still
-searches numerically.
+Orders 1 and 3 write the effort as P(T) / T^(2n-1) with P built from the
+Gramian inverse, and take the positive roots of the same stationarity
+polynomial rho T^2n + T P'(T) - (2n-1) P(T): a square root at order 1 and
+companion-matrix eigenvalues at order 3.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .polyalg import (LEADING_COEFF_CUTOFF, Poly1, _polish,
-                      _roots_quartic_depressed, derivatives_evaluator,
-                      real_roots)
+from .polyalg import (LEADING_COEFF_CUTOFF, Poly1, _horner, _polish,
+                      _real_roots_of, _roots_quartic_depressed,
+                      derivatives_evaluator, real_roots)
 
 Vec3 = tuple[float, float, float]
 
@@ -45,9 +47,6 @@ MIN_SOLVE_TIME = 1e-6
 # A raw quartic root this far (relative) below the horizon floor is still
 # polished, in case the polish carries it over the floor.
 _POLISH_SLACK = 1e-6
-
-_GOLDEN_REL_WIDTH = 1e-8
-_GOLDEN_MAX_ITERS = 200
 
 
 class SingularGramianError(ValueError):
@@ -171,10 +170,12 @@ def gramian(n: int, T: float) -> np.ndarray:
     return W
 
 
-# Inverse of the unit-horizon axis Gramian; the general horizon follows by
-# the exact scaling W(T) = D What D with D = diag(T**(n-1-i+1/2)).
+# Inverse of the unit-horizon axis Gramian, whose entries are integers; the
+# general horizon follows by the exact scaling W(T) = D What D with
+# D = diag(T**(n-1-i+1/2)).
 _UNIT_GRAMIAN_INV = {
-    n: tuple(tuple(row) for row in np.linalg.inv(_axis_gramian(n, 1.0)))
+    n: tuple(tuple(float(c) for c in row)
+             for row in np.rint(np.linalg.inv(_axis_gramian(n, 1.0))))
     for n in ORDERS}
 
 
@@ -278,56 +279,43 @@ def _degenerate_solution(x0: State) -> LqmtSolution:
     return LqmtSolution(polys, 0.0, 0.0, 0.0)
 
 
-def _total_cost(x0: State, xf: State, rho: float) -> Callable[[float], float]:
-    def cost(T: float) -> float:
-        return effort_between(x0, xf, T) + rho * T
-    return cost
+def _stationarity(x0: State, xf: State, rho: float) -> tuple[float, ...]:
+    """Coefficients of S(T) = rho T^2n + T P'(T) - (2n-1) P(T), where
+    effort_between(x0, xf, T) = P(T) / T^(2n-1). Orders 1 and 3 use it.
 
-
-def _golden_min(f: Callable[[float], float], a: float, b: float) -> float:
-    """Golden-section minimum of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_MAX_ITERS):
-        if b - a <= _GOLDEN_REL_WIDTH * max(abs(a), abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _bracket_then_golden(cost: Callable[[float], float], lo: float) -> float:
-    """Scan doubling horizons from lo until the cost turns up, then refine."""
-    t_prev, f_prev = lo, cost(lo)
-    t_cur = lo * 2.0
-    lo_bracket = lo
-    for _ in range(80):
-        f_cur = cost(t_cur)
-        if f_cur > f_prev:
-            break
-        lo_bracket, t_prev, f_prev = t_prev, t_cur, f_cur
-        t_cur *= 2.0
-    return _golden_min(cost, lo_bracket, t_cur)
+    The derivative of effort plus rho * T is S(T) / T^2n. Per axis, T^i
+    times the residual of derivative i, xf_i - sum_j T^(j-i)/(j-i)! x0_j,
+    is a polynomial q_i of degree n - 1, and P sums q_i W^-1_ij q_j over
+    the unit-horizon Gramian inverse.
+    """
+    n = x0.order
+    winv = _UNIT_GRAMIAN_INV[n]
+    d0, df = x0.derivs, xf.derivs
+    p = [0.0] * (2 * n - 1)
+    for ax in range(3):
+        q = [[0.0] * i + [df[i][ax] - d0[i][ax]]
+             + [-d0[k][ax] / math.factorial(k - i) for k in range(i + 1, n)]
+             for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(i, n):
+                    wq = winv[i][j] * q[i][k]
+                    for m in range(j, n):
+                        p[k + m] += wq * q[j][m]
+    return (*((k - 2 * n + 1) * c for k, c in enumerate(p)), 0.0, rho)
 
 
 def _candidate_horizons(x0: State, xf: State, rho: float,
                         T_lower: float) -> list[float]:
     """Horizons T >= T_lower among which the free-horizon minimum lies.
 
-    Orders 1 and 2 use the closed-form stationarity conditions (a square
-    root and a quartic); order 3 brackets the minimum by doubling and then
-    runs a golden-section refinement. An active T_lower comes first,
-    except at order 2 when a root above it is known to cost less. The
-    list is empty when the boundary states agree to within solver
-    resolution, where the minimum is the zero-cost degenerate solution.
+    The candidates are the positive real roots of the stationarity
+    polynomial S (a quartic from three dot products at order 2, see
+    _stationarity at orders 1 and 3), and an active T_lower where S is
+    nonnegative or no root lies above it: where S is negative the cost
+    still falls, and a root above the floor beats it. The list is empty
+    when the boundary states agree to within solver resolution, where the
+    minimum is the zero-cost degenerate solution.
 
     Raises NoFiniteMinimumError unless rho > 0.
     """
@@ -340,14 +328,7 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
     if x0 == xf and T_lower <= MIN_SOLVE_TIME:
         return []
 
-    candidates: list[float] = []
-    # Whether the floor T_lower can be the minimizer; an active floor
-    # always is a candidate unless the cost is known to fall there.
-    floor_can_win = True
-    if n == 1:
-        dp = math.sqrt(sum((b - a) ** 2 for a, b in zip(x0.pos, xf.pos)))
-        candidates.append(dp / math.sqrt(rho))
-    elif n == 2:
+    if n == 2:
         (p0, v0), (pf, vf) = x0.derivs, xf.derivs
         a0, a1, a2 = v0
         b0, b1, b2 = vf
@@ -356,12 +337,10 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
         dot_vs = (a0 + b0) * d0 + (a1 + b1) * d1 + (a2 + b2) * d2
         dot_vv = ((a0 * a0 + a0 * b0 + b0 * b0) + (a1 * a1 + a1 * b1 + b1 * b1)
                   + (a2 * a2 + a2 * b2 + b2 * b2))
-        quartic = (-36.0 * dot_pp, 24.0 * dot_vs, -4.0 * dot_vv, 0.0, rho)
+        stationarity = (-36.0 * dot_pp, 24.0 * dot_vs, -4.0 * dot_vv, 0.0, rho)
         big = max(36.0 * dot_pp, abs(24.0 * dot_vs), 4.0 * dot_vv, rho)
         stripped = rho < LEADING_COEFF_CUTOFF * big
-        if stripped:
-            # The quartic term is negligible: let real_roots strip it.
-            candidates.extend(real_roots(Poly1(quartic)))
+        candidates = real_roots(Poly1(stationarity)) if stripped else []
         if not stripped or not any(c >= T_lower and c > MIN_SOLVE_TIME
                                    for c in candidates):
             # No cubic term, so the monic quartic is already depressed.
@@ -370,23 +349,30 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
             # floor is the large one the quartic term makes.
             lo = max(T_lower, MIN_SOLVE_TIME) * (1.0 - _POLISH_SLACK)
             candidates.extend(
-                _polish(quartic, r) for r in _roots_quartic_depressed(
-                    quartic[2] / rho, quartic[1] / rho, quartic[0] / rho)
+                _polish(stationarity, r) for r in _roots_quartic_depressed(
+                    stationarity[2] / rho, stationarity[1] / rho,
+                    stationarity[0] / rho)
                 if r >= lo)
-        # The cost's derivative is the quartic over T^4: where the quartic
-        # is negative the cost still falls, and a root above the floor
-        # beats it.
-        floor_can_win = (((rho * T_lower * T_lower - 4.0 * dot_vv) * T_lower
-                          + 24.0 * dot_vs) * T_lower - 36.0 * dot_pp >= 0.0)
     else:
-        cost = _total_cost(x0, xf, rho)
-        lo = max(T_lower, MIN_SOLVE_TIME)
-        candidates.append(_bracket_then_golden(cost, lo))
+        # Unstripped: real_roots would drop a tiny rho T^2n term, and with
+        # it the one large root.
+        stationarity = _stationarity(x0, xf, rho)
+        candidates = _real_roots_of(stationarity)
 
     feasible = sorted(c for c in candidates if c >= T_lower and c > MIN_SOLVE_TIME)
-    if T_lower > MIN_SOLVE_TIME and (floor_can_win or not feasible):
+    if T_lower > MIN_SOLVE_TIME and (_horner(stationarity, T_lower) >= 0.0
+                                     or not feasible):
         feasible.insert(0, T_lower)
     return feasible
+
+
+def _optimal_horizon(x0: State, xf: State, rho: float,
+                     T_lower: float) -> tuple[float, float]:
+    """(cost_total, T) at the cheapest candidate horizon, or (0.0, 0.0) for
+    the degenerate solution when there is none."""
+    return min(((effort_between(x0, xf, T) + rho * T, T)
+                for T in _candidate_horizons(x0, xf, rho, T_lower)),
+               default=(0.0, 0.0))
 
 
 def lqmt_optimal_time(x0: State, xf: State, rho: float,
@@ -398,11 +384,10 @@ def lqmt_optimal_time(x0: State, xf: State, rho: float,
 
     Raises NoFiniteMinimumError unless rho > 0.
     """
-    feasible = _candidate_horizons(x0, xf, rho, T_lower)
-    if not feasible:
+    T = _optimal_horizon(x0, xf, rho, T_lower)[1]
+    if T == 0.0:
         return _degenerate_solution(x0)
-    best = min(feasible, key=_total_cost(x0, xf, rho))
-    return lqmt_fixed_time(BoundaryPair(x0, xf, best), rho)
+    return lqmt_fixed_time(BoundaryPair(x0, xf, T), rho)
 
 
 def lqmt_optimal_cost(x0: State, xf: State, rho: float,
@@ -414,7 +399,4 @@ def lqmt_optimal_cost(x0: State, xf: State, rho: float,
 
     Raises NoFiniteMinimumError unless rho > 0.
     """
-    feasible = _candidate_horizons(x0, xf, rho, T_lower)
-    if not feasible:
-        return 0.0
-    return min(effort_between(x0, xf, T) + rho * T for T in feasible)
+    return _optimal_horizon(x0, xf, rho, T_lower)[0]

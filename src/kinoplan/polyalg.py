@@ -2,9 +2,9 @@
 
 Everything the planner needs from a polynomial lives here. Coefficients are
 monomial, lowest order first, so ``coeffs[k]`` multiplies ``t**k``. Root
-finding is closed-form through degree 4 (with a Newton polish against the
-original coefficients) and falls back to recursive-derivative bracketing plus
-bisection for higher degrees.
+finding is closed-form through degree 4 and takes the nearly real eigenvalues
+of the companion matrix (``numpy.roots``) above it; every root is then
+polished by Newton steps against the original coefficients.
 """
 
 from __future__ import annotations
@@ -12,11 +12,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 # Leading coefficients below this fraction of the largest coefficient are
 # treated as degenerate and stripped before classifying the degree.
 LEADING_COEFF_CUTOFF = 1e-12
 
-DEFAULT_ROOT_TOL = 1e-9
+# Rounding splits a double root into a complex pair of companion-matrix
+# eigenvalues about sqrt(machine epsilon) apart; this tolerance on their
+# imaginary part (see real_roots) still keeps it.
+DEFAULT_ROOT_TOL = 1e-6
 
 
 class ZeroPolynomialError(ValueError):
@@ -199,22 +204,20 @@ def _roots_quartic_depressed(alpha: float, beta: float,
                 roots.append(0.0)
     else:
         # Ferrari: find w so the quartic splits into two quadratics.
-        res = _roots_cubic((-beta * beta, 2.0 * alpha * alpha - 8.0 * gamma,
-                            8.0 * alpha, 8.0))
-        w = max(res)
-        if w <= 0.0:
-            w = max(x for x in res if x > 0.0) if any(x > 0.0 for x in res) else 0.0
+        resolvent = (-beta * beta, 2.0 * alpha * alpha - 8.0 * gamma,
+                     8.0 * alpha, 8.0)
+        w = max(_roots_cubic(resolvent))
+        if w <= 1e-8 * scale:
+            # Near a biquadratic the root is about beta^2 / (2 alpha^2 -
+            # 8 gamma), below the rounding of the closed form, which can
+            # read it as zero or negative.
+            w = _polish(resolvent, w)
         if w > 0.0:
             sq2w = math.sqrt(2.0 * w)
             off = beta / (2.0 * sq2w)
             roots.extend(_roots_quadratic((alpha / 2.0 + w - off, sq2w, 1.0)))
             roots.extend(_roots_quadratic((alpha / 2.0 + w + off, -sq2w, 1.0)))
     return roots
-
-
-def _cauchy_bound(c: tuple[float, ...]) -> float:
-    lead = abs(c[-1])
-    return 1.0 + max(abs(ck) for ck in c[:-1]) / lead
 
 
 def _bisect(coeffs, lo: float, hi: float, flo: float) -> float:
@@ -233,30 +236,14 @@ def _bisect(coeffs, lo: float, hi: float, flo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _roots_bracketed(c: tuple[float, ...], tol: float) -> list[float]:
-    """Degree >= 5: bracket roots between critical points, then bisect."""
-    dcs = _stripped(tuple(k * c[k] for k in range(1, len(c))))
-    if len(dcs) == 1:
-        crits: list[float] = []
-    else:
-        crits = _real_roots_of(dcs, tol)
-    bound = _cauchy_bound(c)
-    pts = sorted({-bound, bound, *(x for x in crits if -bound < x < bound)})
-    roots: list[float] = []
-    resid_bound = tol * (1.0 + max(abs(ck) for ck in c))
-    vals = [_horner(c, x) for x in pts]
-    for x, v in zip(pts, vals):
-        if abs(v) <= resid_bound:
-            roots.append(x)
-    for (lo, hi), (flo, fhi) in zip(zip(pts, pts[1:]), zip(vals, vals[1:])):
-        if flo == 0.0 or fhi == 0.0:
-            continue
-        if (flo > 0.0) != (fhi > 0.0):
-            roots.append(_bisect(c, lo, hi, flo))
-    return roots
+def _roots_companion(c: tuple[float, ...], tol: float) -> list[float]:
+    """Degree >= 5: the nearly real eigenvalues of the companion matrix."""
+    return [float(z.real) for z in np.roots(c[::-1])
+            if abs(z.imag) <= tol * (1.0 + abs(z.real))]
 
 
-def _real_roots_of(c: tuple[float, ...], tol: float) -> list[float]:
+def _real_roots_of(c: tuple[float, ...],
+                  tol: float = DEFAULT_ROOT_TOL) -> list[float]:
     deg = len(c) - 1
     if deg == 1:
         raw = _roots_linear(c)
@@ -267,12 +254,15 @@ def _real_roots_of(c: tuple[float, ...], tol: float) -> list[float]:
     elif deg == 4:
         raw = _roots_quartic(c)
     else:
-        raw = _roots_bracketed(c, tol)
+        raw = _roots_companion(c, tol)
     return [_polish(c, r) for r in raw]
 
 
 def real_roots(p: Poly1, tol: float = DEFAULT_ROOT_TOL) -> list[float]:
     """All real roots of p, sorted ascending, duplicates collapsed.
+
+    Above degree 4 a companion-matrix eigenvalue counts as a root when its
+    imaginary part is at most tol * (1 + |real part|).
 
     Raises ZeroPolynomialError for the identically-zero polynomial (every t
     is a root). A nonzero constant has no roots and returns the empty list.

@@ -6,13 +6,15 @@ Oracles used here and nowhere in the implementation:
   - a boundary-interpolation + dense-quadrature oracle for the order-3
     fixed-horizon cost (the degree-5 interpolant through six boundary
     conditions is unique, so its jerk integral is the optimal effort),
-  - grid-scan + golden-section minimization for the optimal horizon,
+  - grid-scan + golden-section minimization for the optimal horizon, the
+    grid evaluated by the Gramian quadratic form with numpy's inverse,
   - for order 2, the Gramian quadratic form solved with numpy and the
     printed acceleration-control cost scanned over log-spaced horizons.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -355,32 +357,70 @@ def _golden_min(f, a, b, iters=200):
     return (a + b) / 2
 
 
+def _total_on(x0, xf, rho, ts):
+    """Effort plus rho * T at each horizon of ts: the Gramian quadratic form
+    with the numpy inverse of the unit-horizon Gramian, vectorized."""
+    n = x0.order
+    ts = np.asarray(ts, dtype=float)
+    d0, df = np.array(x0.derivs), np.array(xf.derivs)
+    z = np.empty((len(ts), 3 * n))
+    for i in range(n):
+        reach = sum(np.outer(ts ** (j - i) / math.factorial(j - i), d0[j])
+                    for j in range(i, n))
+        z[:, 3 * i:3 * i + 3] = (df[i] - reach) / ts[:, None] ** (n - i - 0.5)
+    winv = np.linalg.inv(gramian(n, 1.0))
+    return np.einsum("ti,ij,tj->t", z, winv, z) + rho * ts
+
+
 def _oracle_opt_T(x0, xf, rho, lo=1e-3, hi=60.0):
     def cost(T):
         return effort_between(x0, xf, T) + rho * T
 
     # Coarse grid scan to bracket the global minimum, then golden section.
     ts = np.linspace(lo, hi, 2000)
-    vals = [cost(float(t)) for t in ts]
-    i = int(np.argmin(vals))
+    i = int(np.argmin(_total_on(x0, xf, rho, ts)))
     a = float(ts[max(0, i - 1)])
     b = float(ts[min(len(ts) - 1, i + 1)])
     return _golden_min(cost, a, b), cost
 
+
+def _order3_golden_miss():
+    """Pair 37 of Random(1003) with components from U(-3, 3) and
+    rho = 10^U(-1, 1). Its cost has a local minimum of 33.79 near T = 8.0
+    and the global one of 32.70 near T = 2.61; doubling from the floor and
+    then golden section stopped at the local one."""
+    rng = random.Random(1003)
+    for _ in range(38):
+        x0 = rand_state(rng, 3, span=3.0)
+        xf = rand_state(rng, 3, span=3.0)
+        rho = 10.0 ** rng.uniform(-1.0, 1.0)
+    return x0, xf, rho
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_optimal_time_matches_scan_oracle(n):
+    # At order 3, odd trials get a floor above the scan's free minimizer,
+    # and one pair whose cost in T has two local minima comes last.
     rng = random.Random(59 + n)
-    trials = 100 if n == 2 else 25
-    for _ in range(trials):
-        x0 = rand_state(rng, n)
-        xf = rand_state(rng, n)
-        rho = rng.uniform(0.5, 20.0)
-        sol = lqmt_optimal_time(x0, xf, rho)
-        t_star, cost = _oracle_opt_T(x0, xf, rho)
+    trials = [(rand_state(rng, n), rand_state(rng, n), rng.uniform(0.5, 20.0))
+              for _ in range(100 if n == 2 else 300)]
+    if n == 3:
+        trials.append(_order3_golden_miss())
+    active = 0
+    for k, (x0, xf, rho) in enumerate(trials):
+        t_lower = 0.0
+        if n == 3 and k % 2:
+            t_lower = _oracle_opt_T(x0, xf, rho)[0] * rng.uniform(1.1, 4.0)
+        sol = lqmt_optimal_time(x0, xf, rho, t_lower)
+        active += t_lower > 0.0 and sol.T == t_lower
+        t_star, cost = _oracle_opt_T(x0, xf, rho, lo=max(t_lower, 1e-3),
+                                     hi=max(60.0, 4.0 * t_lower))
         # Compare costs first; flat minima can put T slightly off while
         # the achieved objective is identical to tight tolerance.
         assert sol.cost_total <= cost(t_star) + 1e-6 * (1 + cost(t_star))
         assert sol.T == pytest.approx(t_star, abs=1e-6, rel=1e-6)
+    if n == 3:
+        assert active >= 140
 
 
 def test_optimal_time_stationarity():
@@ -519,19 +559,66 @@ def test_order2_tiny_rho_takes_real_roots_fallback(monkeypatch):
     assert len(calls) == 2
 
 
-def test_order2_tiny_rho_keeps_the_large_horizon():
-    # Rest to rest: with the quartic term stripped, rho T^4 = 36 |dp|^2 has
-    # no root left, so the full quartic's roots are taken instead.
-    x0 = State.rest(2)
-    xf = State.rest(2, (1.0, 0.0, 0.0))
+@pytest.mark.parametrize("n", [2, 3])
+def test_tiny_rho_keeps_the_large_horizon(n):
+    # Rest to rest the effort is c |dp|^2 / T^(2n-1), with c = 12 at order
+    # 2 and 720 at order 3, so S(T) = rho T^2n - (2n-1) c |dp|^2. A
+    # stripped rho T^2n term would leave no root at all.
+    x0 = State.rest(n)
+    xf = State.rest(n, (1.0, 0.0, 0.0))
     rho = 1e-14
+    c = {2: 12.0, 3: 720.0}[n]
     sol = lqmt_optimal_time(x0, xf, rho)
-    assert sol.T == pytest.approx((36.0 / rho) ** 0.25, rel=1e-9)
-    end = sol.state_at(sol.T, 2)
-    assert end.pos == pytest.approx(xf.pos, abs=1e-9)
-    assert end.vel == pytest.approx(xf.vel, abs=1e-9)
-    assert sol.cost_total == pytest.approx(4.0 * rho * sol.T / 3.0, rel=1e-9)
+    assert sol.T == pytest.approx(((2 * n - 1) * c / rho) ** (0.5 / n),
+                                  rel=1e-9)
+    end = sol.state_at(sol.T, n)
+    for got, want in zip(end.derivs, xf.derivs):
+        assert got == pytest.approx(want, abs=1e-9)
+    assert sol.cost_total == pytest.approx(2 * n / (2 * n - 1) * rho * sol.T,
+                                           rel=1e-9)
     assert lqmt_optimal_cost(x0, xf, rho) == sol.cost_total
+
+
+@pytest.mark.parametrize("eps", [3e-14, 1e-13, 1e-12, 1e-11])
+@pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+def test_order2_nearly_biquadratic_quartic_keeps_its_roots(eps, rho):
+    # The quartic's linear coefficient 24 eps sits just above the
+    # biquadratic cutoff, where the Ferrari resolvent's small root is below
+    # the closed form's rounding. At eps = 1e-13 and rho = 1 the scan's
+    # minimum is 4.771 at T = 2.885; losing the root gave 8.485 at 1.414.
+    x0 = State.of((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    xf = State.of((1.0, eps, 0.0), (0.0, 0.0, 0.0))
+    want = _scan_min(x0, xf, rho, 1e-3)
+    assert lqmt_optimal_cost(x0, xf, rho) == pytest.approx(want, rel=1e-9)
+    if (eps, rho) == (1e-13, 1.0):
+        assert want == pytest.approx(4.771221, rel=1e-6)
+        assert lqmt_optimal_time(x0, xf, rho).T == pytest.approx(2.885231,
+                                                                 rel=1e-6)
+
+
+def test_stationarity_at_order2_is_the_printed_quartic():
+    # rho T^4 - 4 vv T^2 + 24 vs T - 36 pp, from the module docstring.
+    rng = random.Random(89)
+    for _ in range(200):
+        x0 = rand_state(rng, 2)
+        xf = rand_state(rng, 2)
+        rho = rng.uniform(0.1, 10.0)
+        (p0, v0), (pf, vf) = (np.array(x.derivs) for x in (x0, xf))
+        dp = pf - p0
+        pp, vs = dp @ dp, (v0 + vf) @ dp
+        vv = v0 @ v0 + v0 @ vf + vf @ vf
+        want = (-36.0 * pp, 24.0 * vs, -4.0 * vv, 0.0, rho)
+        got = lti._stationarity(x0, xf, rho)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * 36.0 * pp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_gramian_inverse_is_exact(n):
+    w = [[Fraction(1, (a + b + 1) * math.factorial(a) * math.factorial(b))
+          for b in range(n - 1, -1, -1)] for a in range(n - 1, -1, -1)]
+    winv = [[Fraction(c) for c in row] for row in lti._UNIT_GRAMIAN_INV[n]]
+    assert all(sum(w[i][k] * winv[k][j] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

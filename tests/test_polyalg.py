@@ -1,7 +1,9 @@
 """Tests for polynomial evaluation, differentiation, roots and extrema.
 
-Root finding is checked against numpy.roots as an independent oracle on
-random coefficient draws, on top of a handful of frozen closed-form cases.
+Root finding is checked against numpy.roots as an oracle on random
+coefficient draws, on top of a handful of frozen closed-form cases. Above
+degree 4 real_roots itself takes numpy.roots, so there the independent
+checks are products of known linear factors and sign-change counts.
 """
 
 import math
@@ -156,21 +158,49 @@ def test_roots_match_numpy_oracle(degree):
             assert g == pytest.approx(w, abs=5e-5, rel=1e-6)
 
 
+def _from_roots(roots):
+    """The monic polynomial with exactly the given roots."""
+    coeffs = [1.0]
+    for r in roots:
+        coeffs = [0.0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return Poly1.from_coeffs(coeffs)
+
+
 def test_roots_from_known_factorizations():
+    # Degrees 5 to 7 take numpy.roots, so these products of known linear
+    # factors are their oracle independent of numpy.
     rng = random.Random(42)
-    for _ in range(60):
-        k = rng.randint(2, 5)
+    checked = set()
+    for _ in range(300):
+        k = rng.randint(2, 7)
         roots = sorted(rng.uniform(-2, 2) for _ in range(k))
         # Keep roots separated so multiplicity handling stays out of scope.
         if any(b - a < 0.05 for a, b in zip(roots, roots[1:])):
             continue
-        coeffs = [1.0]
-        for r in roots:
-            coeffs = [0.0] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
-        got = real_roots(Poly1.from_coeffs(coeffs))
+        got = real_roots(_from_roots(roots))
         assert got == pytest.approx(roots, abs=1e-6)
+        checked.add(k)
+    assert checked == set(range(2, 8))
+
+
+def test_roots_keep_a_double_root_above_degree_4():
+    # Rounding splits the double root at 1 into a complex pair whose
+    # imaginary parts are about 2e-8.
+    got = real_roots(_from_roots((1.0, 1.0, -1.0, 2.0, -2.0)))
+    assert got == pytest.approx([-2.0, -1.0, 1.0, 2.0], abs=1e-7)
+
+
+def test_roots_nearly_biquadratic_quartic():
+    # The depressed form's linear coefficient is -7e-14, just above the
+    # biquadratic cutoff; the Ferrari resolvent's small root, 2.6e-27,
+    # read as -1.4e-17 in closed form and the quartic lost both roots.
+    coeffs = (-2.745098039215529, -1.558028616851063, 13.651298357180433,
+              -24.186539480661622, 12.0932697403315)
+    got = real_roots(Poly1(coeffs))
+    assert got == pytest.approx(_oracle_real_roots(coeffs), abs=1e-9)
+    assert got == pytest.approx([-0.316306690, 1.316306690], abs=1e-8)
 
 
 def test_root_count_vs_sign_changes():
