@@ -83,8 +83,10 @@ class OccupancyGrid:
         nx, ny, nz = self.dims
         if nx < 1 or ny < 1 or nz < 1:
             raise ValueError("grid dims must be positive")
-        if not self.resolution > 0.0:
-            raise ValueError("resolution must be positive")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError("origin must be finite")
         if len(self.cells) != nx * ny * nz:
             raise ValueError("cell buffer does not match dims")
 
@@ -188,12 +190,14 @@ def loads_grid(text: str) -> OccupancyGrid:
         res = float(fields(2, "resolution", 1)[0])
     except ValueError as exc:
         raise MapParseError(3, "resolution must be a number") from exc
-    if not res > 0.0:
-        raise MapParseError(3, "resolution must be positive")
+    if not 0.0 < res < math.inf:
+        raise MapParseError(3, "resolution must be positive and finite")
     try:
         origin = tuple(float(v) for v in fields(3, "origin", 3))
     except ValueError as exc:
         raise MapParseError(4, "origin must be three numbers") from exc
+    if not all(map(math.isfinite, origin)):
+        raise MapParseError(4, "origin must be finite")
 
     cells = bytearray()
     row = 0

@@ -12,18 +12,17 @@ boundary conditions, and its cost is the Gramian quadratic form
 delta' * W(T)^-1 * delta with delta = xf - F(T) x0. The free-horizon solve
 minimizes that cost plus rho * T over T >= T_lower.
 
-Order 2 (acceleration control) has closed forms in three dot products of
-the boundary pair: with dp = pf - p0, pp = |dp|^2, vs = (v0 + vf).dp and
-vv = |v0|^2 + v0.vf + |vf|^2, the effort is
-12 pp / T^3 - 12 vs / T^2 + 4 vv / T, evaluated as the sum of squares
-(|vf - v0|^2 + 12 |dp - T (v0 + vf) / 2|^2 / T^2) / T. Setting the
-derivative of effort plus rho * T to zero gives the quartic
-rho T^4 - 4 vv T^2 + 24 vs T - 36 pp = 0, which has no cubic term, so the
-candidate horizons are its positive roots (Ferrari on the depressed form).
-Orders 1 and 3 write the effort as P(T) / T^(2n-1) with P built from the
-Gramian inverse, and take the positive roots of the same stationarity
-polynomial rho T^2n + T P'(T) - (2n-1) P(T): a square root at order 1 and
-companion-matrix eigenvalues at order 3.
+Writing the effort as P(T) / T^(2n-1), the candidate horizons are the
+positive roots of the stationarity polynomial
+S(T) = rho T^2n + T P'(T) - (2n-1) P(T), solved with its rho T^2n term
+kept: a square root at order 1, Ferrari at order 2 and companion-matrix
+eigenvalues at order 3. Order 2 (acceleration control) has closed forms
+in three dot products of the boundary pair: with dp = pf - p0,
+pp = |dp|^2, vs = (v0 + vf).dp and vv = |v0|^2 + v0.vf + |vf|^2, the
+effort is 12 pp / T^3 - 12 vs / T^2 + 4 vv / T, evaluated as the sum of
+squares (|vf - v0|^2 + 12 |dp - T (v0 + vf) / 2|^2 / T^2) / T, and S is
+the quartic rho T^4 - 4 vv T^2 + 24 vs T - 36 pp, which has no cubic
+term. Orders 1 and 3 build P from the Gramian inverse.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polyalg import (LEADING_COEFF_CUTOFF, Poly1, _horner, _polish,
-                      _real_roots_of, _roots_quartic_depressed,
-                      derivatives_evaluator, real_roots)
+                      _raw_roots, derivatives_evaluator, real_roots)
 
 Vec3 = tuple[float, float, float]
 
@@ -43,10 +41,6 @@ ORDERS = (1, 2, 3)
 
 # Horizons shorter than this make the boundary solve meaningless in float64.
 MIN_SOLVE_TIME = 1e-6
-
-# A raw quartic root this far (relative) below the horizon floor is still
-# polished, in case the polish carries it over the floor.
-_POLISH_SLACK = 1e-6
 
 
 class SingularGramianError(ValueError):
@@ -281,14 +275,25 @@ def _degenerate_solution(x0: State) -> LqmtSolution:
 
 def _stationarity(x0: State, xf: State, rho: float) -> tuple[float, ...]:
     """Coefficients of S(T) = rho T^2n + T P'(T) - (2n-1) P(T), where
-    effort_between(x0, xf, T) = P(T) / T^(2n-1). Orders 1 and 3 use it.
+    effort_between(x0, xf, T) = P(T) / T^(2n-1).
 
-    The derivative of effort plus rho * T is S(T) / T^2n. Per axis, T^i
-    times the residual of derivative i, xf_i - sum_j T^(j-i)/(j-i)! x0_j,
-    is a polynomial q_i of degree n - 1, and P sums q_i W^-1_ij q_j over
-    the unit-horizon Gramian inverse.
+    The derivative of effort plus rho * T is S(T) / T^2n. At order 2, S is
+    the quartic of three dot products in the module docstring. At orders
+    1 and 3, per axis, T^i times the residual of derivative i,
+    xf_i - sum_j T^(j-i)/(j-i)! x0_j, is a polynomial q_i of degree n - 1,
+    and P sums q_i W^-1_ij q_j over the unit-horizon Gramian inverse.
     """
     n = x0.order
+    if n == 2:
+        (p0, v0), (pf, vf) = x0.derivs, xf.derivs
+        a0, a1, a2 = v0
+        b0, b1, b2 = vf
+        d0, d1, d2 = pf[0] - p0[0], pf[1] - p0[1], pf[2] - p0[2]
+        dot_pp = d0 * d0 + d1 * d1 + d2 * d2
+        dot_vs = (a0 + b0) * d0 + (a1 + b1) * d1 + (a2 + b2) * d2
+        dot_vv = ((a0 * a0 + a0 * b0 + b0 * b0) + (a1 * a1 + a1 * b1 + b1 * b1)
+                  + (a2 * a2 + a2 * b2 + b2 * b2))
+        return (-36.0 * dot_pp, 24.0 * dot_vs, -4.0 * dot_vv, 0.0, rho)
     winv = _UNIT_GRAMIAN_INV[n]
     d0, df = x0.derivs, xf.derivs
     p = [0.0] * (2 * n - 1)
@@ -310,12 +315,15 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
     """Horizons T >= T_lower among which the free-horizon minimum lies.
 
     The candidates are the positive real roots of the stationarity
-    polynomial S (a quartic from three dot products at order 2, see
-    _stationarity at orders 1 and 3), and an active T_lower where S is
+    polynomial S (_stationarity), and an active T_lower where S is
     nonnegative or no root lies above it: where S is negative the cost
-    still falls, and a root above the floor beats it. The list is empty
-    when the boundary states agree to within solver resolution, where the
-    minimum is the zero-cost degenerate solution.
+    still falls, and a root above the floor beats it. S is solved with its
+    rho T^2n term, whose one large root a stripped solve would drop; when
+    rho is below LEADING_COEFF_CUTOFF of S's largest coefficient, the roots
+    of the stripped S join the candidates too, since the unstripped solve
+    may lose the others to rounding. The list is empty when the boundary
+    states agree to within solver resolution, where the minimum is the
+    zero-cost degenerate solution.
 
     Raises NoFiniteMinimumError unless rho > 0.
     """
@@ -328,37 +336,11 @@ def _candidate_horizons(x0: State, xf: State, rho: float,
     if x0 == xf and T_lower <= MIN_SOLVE_TIME:
         return []
 
-    if n == 2:
-        (p0, v0), (pf, vf) = x0.derivs, xf.derivs
-        a0, a1, a2 = v0
-        b0, b1, b2 = vf
-        d0, d1, d2 = pf[0] - p0[0], pf[1] - p0[1], pf[2] - p0[2]
-        dot_pp = d0 * d0 + d1 * d1 + d2 * d2
-        dot_vs = (a0 + b0) * d0 + (a1 + b1) * d1 + (a2 + b2) * d2
-        dot_vv = ((a0 * a0 + a0 * b0 + b0 * b0) + (a1 * a1 + a1 * b1 + b1 * b1)
-                  + (a2 * a2 + a2 * b2 + b2 * b2))
-        stationarity = (-36.0 * dot_pp, 24.0 * dot_vs, -4.0 * dot_vv, 0.0, rho)
-        big = max(36.0 * dot_pp, abs(24.0 * dot_vs), 4.0 * dot_vv, rho)
-        stripped = rho < LEADING_COEFF_CUTOFF * big
-        candidates = real_roots(Poly1(stationarity)) if stripped else []
-        if not stripped or not any(c >= T_lower and c > MIN_SOLVE_TIME
-                                   for c in candidates):
-            # No cubic term, so the monic quartic is already depressed.
-            # Only roots near or above the floor are worth polishing. This
-            # also serves a stripped quartic whose only root above the
-            # floor is the large one the quartic term makes.
-            lo = max(T_lower, MIN_SOLVE_TIME) * (1.0 - _POLISH_SLACK)
-            candidates.extend(
-                _polish(stationarity, r) for r in _roots_quartic_depressed(
-                    stationarity[2] / rho, stationarity[1] / rho,
-                    stationarity[0] / rho)
-                if r >= lo)
-    else:
-        # Unstripped: real_roots would drop a tiny rho T^2n term, and with
-        # it the one large root.
-        stationarity = _stationarity(x0, xf, rho)
-        candidates = _real_roots_of(stationarity)
-
+    stationarity = _stationarity(x0, xf, rho)
+    candidates = [_polish(stationarity, r) for r in _raw_roots(stationarity)
+                  if r > 0.0]
+    if rho < LEADING_COEFF_CUTOFF * max(map(abs, stationarity)):
+        candidates.extend(real_roots(Poly1(stationarity)))
     feasible = sorted(c for c in candidates if c >= T_lower and c > MIN_SOLVE_TIME)
     if T_lower > MIN_SOLVE_TIME and (_horner(stationarity, T_lower) >= 0.0
                                      or not feasible):

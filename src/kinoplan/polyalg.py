@@ -2,9 +2,9 @@
 
 Everything the planner needs from a polynomial lives here. Coefficients are
 monomial, lowest order first, so ``coeffs[k]`` multiplies ``t**k``. Root
-finding is closed-form through degree 4 and takes the nearly real eigenvalues
-of the companion matrix (``numpy.roots``) above it; every root is then
-polished by Newton steps against the original coefficients.
+finding (_raw_roots) is closed-form through degree 4 and takes the nearly real
+eigenvalues of the companion matrix (``numpy.roots``) above it; real_roots then
+polishes every root by Newton steps against the original coefficients.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _polish(coeffs: tuple[float, ...], r: float, steps: int = 3) -> float:
     converged cannot be made worse. Stops early once the residual is zero
     or the iterate is a fixed point, where further steps change nothing.
     """
-    dcs = tuple(k * coeffs[k] for k in range(1, len(coeffs)))
+    dcs = [k * coeffs[k] for k in range(1, len(coeffs))]
     x = r
     fx = _horner(coeffs, x)
     best_r, best_res = x, abs(fx)
@@ -178,6 +178,9 @@ def _roots_cubic(c: tuple[float, ...]) -> list[float]:
 
 def _roots_quartic(c: tuple[float, ...]) -> list[float]:
     c0, c1, c2, c3, c4 = c
+    if c3 == 0.0:
+        # Already depressed; the shift below would change only zero signs.
+        return _roots_quartic_depressed(c2 / c4, c1 / c4, c0 / c4)
     p = c3 / c4
     q = c2 / c4
     r = c1 / c4
@@ -236,33 +239,30 @@ def _bisect(coeffs, lo: float, hi: float, flo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _roots_companion(c: tuple[float, ...], tol: float) -> list[float]:
+def _roots_companion(c: tuple[float, ...]) -> list[float]:
     """Degree >= 5: the nearly real eigenvalues of the companion matrix."""
     return [float(z.real) for z in np.roots(c[::-1])
-            if abs(z.imag) <= tol * (1.0 + abs(z.real))]
+            if abs(z.imag) <= DEFAULT_ROOT_TOL * (1.0 + abs(z.real))]
 
 
-def _real_roots_of(c: tuple[float, ...],
-                  tol: float = DEFAULT_ROOT_TOL) -> list[float]:
-    deg = len(c) - 1
-    if deg == 1:
-        raw = _roots_linear(c)
-    elif deg == 2:
-        raw = _roots_quadratic(c)
-    elif deg == 3:
-        raw = _roots_cubic(c)
-    elif deg == 4:
-        raw = _roots_quartic(c)
-    else:
-        raw = _roots_companion(c, tol)
-    return [_polish(c, r) for r in raw]
+# Closed-form root solvers by coefficient count (degree + 1).
+_CLOSED_FORMS = {2: _roots_linear, 3: _roots_quadratic, 4: _roots_cubic,
+                 5: _roots_quartic}
 
 
-def real_roots(p: Poly1, tol: float = DEFAULT_ROOT_TOL) -> list[float]:
+def _raw_roots(c: tuple[float, ...]) -> list[float]:
+    """Real roots of a polynomial of degree >= 1 with a nonzero leading
+    coefficient, unpolished and unsorted."""
+    return _CLOSED_FORMS.get(len(c), _roots_companion)(c)
+
+
+def real_roots(p: Poly1) -> list[float]:
     """All real roots of p, sorted ascending, duplicates collapsed.
 
-    Above degree 4 a companion-matrix eigenvalue counts as a root when its
-    imaginary part is at most tol * (1 + |real part|).
+    Degenerate leading coefficients are stripped first (see _stripped), and
+    each root is Newton-polished against the stripped coefficients. Above
+    degree 4 a companion-matrix eigenvalue counts as a root when its
+    imaginary part is at most DEFAULT_ROOT_TOL * (1 + |real part|).
 
     Raises ZeroPolynomialError for the identically-zero polynomial (every t
     is a root). A nonzero constant has no roots and returns the empty list.
@@ -272,7 +272,7 @@ def real_roots(p: Poly1, tol: float = DEFAULT_ROOT_TOL) -> list[float]:
         if c[0] == 0.0:
             raise ZeroPolynomialError("every t is a root of the zero polynomial")
         return []
-    roots = sorted(_real_roots_of(c, tol))
+    roots = sorted(_polish(c, r) for r in _raw_roots(c))
     out: list[float] = []
     for r in roots:
         if not out or abs(r - out[-1]) > 1e-9 * (1.0 + abs(r)):

@@ -46,8 +46,8 @@ from .gridmap import (DynBounds, OccupancyGrid, check_collision,
                       check_dynamics, primitive_tails, swath, swept_cells)
 from .lattice import (ControlSet, LatticeKey, MotionPrimitive, fold_state,
                       fold_terms, lattice_key, lattice_resolutions, propagate)
-# check_collision and lqmt_optimal_time are not called here; they stay
-# importable from this module for callers that look them up here.
+# lqmt_optimal_time is not called here; it stays importable from this
+# module for callers that look it up here.
 from .lti import State, Vec3, lqmt_optimal_cost, lqmt_optimal_time
 
 REST_TOL = 1e-9
@@ -263,16 +263,13 @@ class EdgeTable:
     cells) and the origin's higher derivatives (key part), so the rows
     are kept on the config for that pair and taken over by the next table
     made with the same pair; another pair starts a fresh set, and so does
-    a holder with more than MAX_SHARED_STATES states, unless _install is
-    False, as in get_successors: then the table keeps a fresh set of its
-    own and leaves the config's alone. The grid's cells and the
-    origin's position are read per table, never stored in a row. A table
-    keeps the row and state dicts it started with, so plans that run at
-    once on one config stay correct; they may only build a row twice.
+    a holder with more than MAX_SHARED_STATES states. The grid's cells and
+    the origin's position are read per table, never stored in a row. A
+    table keeps the row and state dicts it started with, so plans that run
+    at once on one config stay correct; they may only build a row twice.
     """
 
-    def __init__(self, cfg: PlannerConfig, grid: OccupancyGrid, origin: State,
-                 _install: bool = True):
+    def __init__(self, cfg: PlannerConfig, grid: OccupancyGrid, origin: State):
         self._cfg = cfg
         self._grid = grid
         self._origin = origin
@@ -286,8 +283,7 @@ class EdgeTable:
         if (shared is None or shared.pair != pair
                 or len(shared.states) > MAX_SHARED_STATES):
             shared = _SharedRows(pair)
-            if _install:
-                object.__setattr__(cfg, "_edge_rows", shared)
+            object.__setattr__(cfg, "_edge_rows", shared)
         self._rows = shared.rows
         # One State per float state, for plan to hand out on every arrival.
         self._states = shared.states
@@ -358,12 +354,17 @@ def get_successors(s: State, cfg: PlannerConfig,
                    grid: OccupancyGrid) -> list[MotionPrimitive]:
     """Feasible primitives out of s, in control-set order.
 
-    Takes the config's rows when they were made for this grid resolution
-    and s's higher derivatives; otherwise builds its row apart from them.
+    The reference path, apart from EdgeTable: propagate each control, then
+    check_dynamics, then check_collision. plan gives the same edges.
     """
-    table = EdgeTable(cfg, grid, s, _install=False)
-    return [MotionPrimitive(s, u, cfg.tau, cost)
-            for u, cost, _end, _key in table.successors(s)]
+    out = []
+    for u in cfg.control_set.controls:
+        prim = propagate(s, u, cfg.tau, cfg.rho)
+        if (check_dynamics(prim, cfg.bounds)
+                and check_collision(prim, grid,
+                                    unknown_is_free=cfg.unknown_is_free)):
+            out.append(prim)
+    return out
 
 
 def _static_within_bounds(s: State, bounds: DynBounds) -> bool:
@@ -380,12 +381,12 @@ def plan(start: State, goal: GoalSpec, cfg: PlannerConfig, grid: OccupancyGrid,
          ) -> PlanResult:
     """A* from start to the goal region over constant-control primitives.
 
-    Planning without bounds.v_max is rejected. Raises StartInfeasibleError when the start cell is not free or
-    the start state already violates the bounds. When no free cell meets
-    the goal position box, no state can reach it: the result is NoPath
-    with 0 expansions. The optional edge_hook is
-    called with (state, primitive) for every feasible edge the search
-    relaxes; it exists for audits and stays out of the common path.
+    Planning without bounds.v_max is rejected. Raises StartInfeasibleError
+    when the start cell is not free or the start state already violates the
+    bounds. When no free cell meets the goal position box, no state can
+    reach it: the result is NoPath with 0 expansions. The optional
+    edge_hook is called with (state, primitive) for every feasible edge the
+    search relaxes; it exists for audits and stays out of the common path.
     """
     t0 = time.perf_counter()
     if start.order != cfg.order:

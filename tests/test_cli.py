@@ -171,6 +171,23 @@ def test_bench_non_positive_bound_is_usage_error(tmp_path, capsys, flag):
     assert flag in err and "positive" in err
 
 
+@pytest.mark.parametrize("line, text", [
+    (4, "origin inf 0 0"), (4, "origin nan 0 0"), (3, "resolution inf")])
+def test_plan_non_finite_map_frame_is_parse_error(tmp_path, capsys, line,
+                                                  text):
+    # Before the check these gave an OverflowError traceback, a bare
+    # "cannot convert float NaN to integer", and a Solved plan.
+    m = make_map(capsys, tmp_path / "m.grid")
+    rows = (tmp_path / "m.grid").read_text().split("\n")
+    rows[line - 1] = text
+    (tmp_path / "m.grid").write_text("\n".join(rows))
+    code, out, err = run_cli(capsys, "plan", "--map", m,
+                             "--start", "1,1,0.25", "--goal", "8,8,0.25",
+                             *PLAN_FLAGS)
+    assert code == 1 and out == ""
+    assert f"line {line}:" in err and "finite" in err
+
+
 def test_plan_occupied_start_is_no_path_exit(tmp_path, capsys):
     m = make_map(capsys, tmp_path / "m.grid", density=1.0, dims=(4, 4, 1))
     code, out, err = run_cli(capsys, "plan", "--map", m,

@@ -105,6 +105,26 @@ def test_parse_error_reports_line_of_bad_number():
     assert ei.value.line == 3
 
 
+@pytest.mark.parametrize("line, text", [
+    (3, "resolution inf"), (4, "origin inf 0 0"), (4, "origin 0 nan 0"),
+    (4, "origin 0 0 -inf")])
+def test_parse_error_non_finite_frame(line, text):
+    rows = ["gridmap v1", "dims 2 2 1", "resolution 0.5", "origin 0 0 0",
+            "00", "00", ""]
+    rows[line - 1] = text
+    with pytest.raises(MapParseError, match="finite") as ei:
+        loads_grid("\n".join(rows))
+    assert ei.value.line == line
+
+
+@pytest.mark.parametrize("origin, resolution", [
+    ((math.inf, 0.0, 0.0), 0.5), ((0.0, math.nan, 0.0), 0.5),
+    ((0.0, 0.0, 0.0), math.inf)])
+def test_grid_rejects_non_finite_frame(origin, resolution):
+    with pytest.raises(ValueError, match="finite"):
+        OccupancyGrid(origin, resolution, (1, 1, 1), bytes(1))
+
+
 def test_unknown_cells_roundtrip():
     g = grid_from_rows(["02", "20"])
     assert g.value_at((0.75, 0.25, 0.1)) is CellState.UNKNOWN

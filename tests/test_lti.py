@@ -9,11 +9,13 @@ Oracles used here and nowhere in the implementation:
   - grid-scan + golden-section minimization for the optimal horizon, the
     grid evaluated by the Gramian quadratic form with numpy's inverse,
   - for order 2, the Gramian quadratic form solved with numpy and the
-    printed acceleration-control cost scanned over log-spaced horizons.
+    printed acceleration-control cost scanned over log-spaced horizons,
+  - a 50-digit Decimal Newton solve of one order-2 stationarity quartic.
 """
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -498,10 +500,10 @@ def _printed_total(x0, xf, rho, ts):
             + 4.0 * (dv @ dv) / ts + rho * ts)
 
 
-def _scan_min(x0, xf, rho, lo):
-    """Minimum over T >= lo: a log-spaced scan, every local minimum of the
-    scan refined by golden section, and the endpoint lo itself."""
-    ts = np.geomspace(lo, 1e3, 4000)
+def _scan_min(x0, xf, rho, lo, hi=1e3):
+    """Minimum over lo <= T <= hi: a log-spaced scan, every local minimum of
+    the scan refined by golden section, and the endpoint lo itself."""
+    ts = np.geomspace(lo, hi, 4000)
     vals = _printed_total(x0, xf, rho, ts)
 
     def f(t):
@@ -515,24 +517,59 @@ def _scan_min(x0, xf, rho, lo):
     return best
 
 
-def test_order2_optimal_cost_matches_dense_scan():
-    # Odd pairs get a floor above the scan's free minimizer.
-    rng = random.Random(83)
+def _check_order2_against_scan(seed, log_rho, hi, scan_hi):
+    """1000 random order-2 pairs with rho = 10^U(log_rho). Odd pairs get a
+    floor above the free minimizer of a scan up to T = hi; the minimum is
+    scanned up to T = scan_hi."""
+    rng = random.Random(seed)
     active = 0
     for k in range(1000):
         x0 = rand_state(rng, 2)
         xf = rand_state(rng, 2)
-        rho = 10.0 ** rng.uniform(-1.0, 1.0)
+        rho = 10.0 ** rng.uniform(*log_rho)
         t_lower = 0.0
         if k % 2:
-            ts = np.geomspace(1e-3, 1e3, 4000)
+            ts = np.geomspace(1e-3, hi, 4000)
             t_free = float(ts[np.argmin(_printed_total(x0, xf, rho, ts))])
             t_lower = t_free * rng.uniform(1.1, 4.0)
             active += lqmt_optimal_time(x0, xf, rho, t_lower).T == t_lower
-        want = _scan_min(x0, xf, rho, max(t_lower, 1e-3))
+        want = _scan_min(x0, xf, rho, max(t_lower, 1e-3), scan_hi)
         got = lqmt_optimal_cost(x0, xf, rho, t_lower)
         assert got == pytest.approx(want, rel=1e-9)
     assert active >= 480
+
+
+def test_order2_optimal_cost_matches_dense_scan():
+    _check_order2_against_scan(83, (-1.0, 1.0), 1e3, 1e3)
+
+
+def test_order2_tiny_rho_optimal_cost_matches_dense_scan():
+    # Below LEADING_COEFF_CUTOFF the minimum sits near T = 2 sqrt(vv / rho),
+    # up to about 1e11 here, far beyond any root of the stripped quartic.
+    _check_order2_against_scan(97, (-20.0, -9.0), 1e13, 1e14)
+
+
+def test_order2_tiny_rho_finds_the_global_minimum():
+    # The stripped quartic -4 (T - 3)^2 has a double root at T = 3, where
+    # the effort 12/T^3 - 12/T^2 + 4/T reads 4/9; the minimum with rho T
+    # lies near T = 2 / sqrt(rho), where the cost is about 4 sqrt(rho).
+    x0 = State.of((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    xf = State.of((0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+    rho = 1e-13
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(rho)
+        t = 2 / r.sqrt()
+        for _ in range(60):  # Newton on rho T^4 - 4 T^2 + 24 T - 36
+            t -= ((r * t ** 4 - 4 * t ** 2 + 24 * t - 36)
+                  / (4 * r * t ** 3 - 8 * t + 24))
+        want = float(12 / t ** 3 - 12 / t ** 2 + 4 / t + r * t)
+        t_star = float(t)
+    assert want == pytest.approx(1.2649e-6, rel=1e-4)
+    sol = lqmt_optimal_time(x0, xf, rho)
+    assert sol.cost_total == pytest.approx(want, rel=1e-6)
+    assert sol.T == pytest.approx(t_star, rel=1e-6)
+    assert lqmt_optimal_cost(x0, xf, rho) == sol.cost_total
 
 
 def test_order2_tiny_rho_takes_real_roots_fallback(monkeypatch):

@@ -926,6 +926,31 @@ def test_zero_rho_is_pure_effort_search():
     assert res.total_cost == pytest.approx(2.0)
 
 
+# A free 24 x 24 map at rho = 1e-13, where the stationarity quartic's
+# rho T^4 term is below LEADING_COEFF_CUTOFF. Taking only the stripped
+# quadratic's roots gave LQMT about 4 v^3 / 9 d at a state moving straight
+# at the goal, far above the true minimum near T = 2 sqrt(vv / rho), and
+# the plan cost more than Dijkstra's on the first three queries (1.5 for
+# 0.5 on the first; 1e-13 more on the next two). The last query agreed.
+TINY_RHO_QUERIES = [
+    ((6.6, 2.39), (6.6, 4.67)),
+    ((6.9, 3.87), (6.38, 4.39)),
+    ((2.73, 4.89), (3.74, 5.9)),
+    ((2.75, 3.25), (2.0, 3.25)),
+]
+
+
+def test_tiny_rho_lqmt_plans_cost_what_dijkstra_plans_cost():
+    grid = random_grid((24, 24, 1), 0.5, 0.0, seed=0)
+    configs = {h: cfg_2d(h, rho=1e-13, mu=2, goal_tol=0.25, rest=True)
+               for h in (Heuristic.ZERO, Heuristic.LQMT)}
+    for (sx, sy), (gx, gy) in TINY_RHO_QUERIES:
+        start, goal = State.rest(2, (sx, sy, 0.25)), GoalSpec((gx, gy, 0.25))
+        zero, lqmt = (plan(start, goal, cfg, grid) for cfg in configs.values())
+        assert zero.status is lqmt.status is PlanStatus.SOLVED
+        assert repr(lqmt.total_cost) == repr(zero.total_cost)
+
+
 # ------------------------------------------------------ regression lock
 
 # (status, expanded, repr(total_cost)). First recorded before the edge
