@@ -263,12 +263,12 @@ def random_grid(dims: tuple[int, int, int], resolution: float, density: float,
 
 
 def within_bounds(polys, tau: float, bounds: DynBounds) -> bool:
-    """True iff every bounded derivative of each of the three axis
-    polynomials stays within its limit on [0, tau].
+    """True iff every bounded derivative of each of the axis polynomials
+    stays within its limit on [0, tau].
 
     The check is exact: each derivative is a polynomial whose extrema are
     found from the roots of the next derivative, and the comparison against
-    the bound is inclusive.
+    the bound is inclusive. Each axis is tested alone; EdgeTable relies on it.
     """
     span = Interval(0.0, tau)
     for order, bound in ((1, bounds.v_max), (2, bounds.a_max), (3, bounds.j_max)):

@@ -151,10 +151,8 @@ def lattice_resolutions(n: int, d_u: float, tau: float) -> tuple[float, ...]:
 
 def lattice_key(s: State, d_u: float, tau: float, origin: State) -> LatticeKey:
     """Integer lattice coordinates of s relative to the search origin."""
-    n = s.order
     key = []
-    for i in range(n):
-        res = d_u * tau ** (n - i) / math.factorial(n - i)
+    for i, res in enumerate(lattice_resolutions(s.order, d_u, tau)):
         si = s.derivs[i]
         oi = origin.derivs[i]
         key.append((round((si[0] - oi[0]) / res),

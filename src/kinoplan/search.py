@@ -11,17 +11,18 @@ moves every derivative of order one and up independently of the start
 position, so the table is keyed on a state's exact higher derivatives
 s.derivs[1:] and holds, for each control that passes check_dynamics, the
 edge cost, the end state's higher derivatives and their part of the lattice
-key, and the addends of the end position. The cells an edge sweeps depend
-only on its control, the start's higher derivatives and where the start
-sits inside its grid cell, so each row keeps them per start phase, as
-flat cell-index offsets
-(gridmap.swept_cells; the swath of Pivtoraiko, Knepper and Kelly's state
-lattices). Expanding a state then costs two dictionary lookups, and per
-edge one bounds test, a byte lookup per swept cell and a few float
-additions; the primitives of the returned plan are built from the table's
-entries. The rows live on the PlannerConfig, so plans that share a config,
-a grid resolution and the start's higher derivatives share them: reuse one
-PlannerConfig across queries toward the same goal.
+key, and the addends of the end position. It moves each axis apart from
+the others too, so a row is assembled from cached one-axis parts. The
+cells an edge sweeps depend only on its control, the start's higher
+derivatives and where the start sits inside its grid cell, so each row
+keeps them per start phase, as flat cell-index offsets (gridmap.swept_cells;
+the swath of Pivtoraiko, Knepper and Kelly's state lattices). Expanding a
+state then costs two dictionary lookups, and per edge one bounds test, a
+byte lookup per swept cell and a few float additions; the primitives of
+the returned plan are built from the table's entries. The rows live on the
+PlannerConfig, so plans that share a config, a grid resolution and the
+start's higher derivatives share them: reuse one PlannerConfig across
+queries toward the same goal.
 
 Beside the rows, the config keeps one State object per float state a plan
 pushed, and plan hands out that object for every later arrival at the same
@@ -43,9 +44,9 @@ from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .gridmap import (DynBounds, OccupancyGrid, check_collision,
-                      check_dynamics, primitive_tails, swath, swept_cells)
-from .lattice import (ControlSet, LatticeKey, MotionPrimitive, fold_state,
-                      fold_terms, lattice_key, lattice_resolutions, propagate)
+                      check_dynamics, swath, swept_cells, within_bounds)
+from .lattice import (ControlSet, LatticeKey, MotionPrimitive, fold_terms,
+                      lattice_key, lattice_resolutions, propagate)
 # lqmt_optimal_time is not called here; it stays importable from this
 # module for callers that look it up here.
 from .lti import State, Vec3, lqmt_optimal_cost, lqmt_optimal_time
@@ -230,14 +231,18 @@ Edge = tuple[Vec3, float, State, LatticeKey]
 
 class _SharedRows:
     """What plans on one config share for one (grid resolution, start
-    derivs[1:]) pair: the edge rows, one State per float state pushed
-    (keyed on its derivs), and h_lqmt's (goal, memo) for the last goal."""
+    derivs[1:]) pair: each control with its edge cost, the edge rows, the
+    one-axis parts they are built from (EdgeTable._part), one State per
+    float state pushed (keyed on its derivs), and h_lqmt's (goal, memo)
+    for the last goal."""
 
-    __slots__ = ("pair", "rows", "states", "h_memo")
+    __slots__ = ("pair", "controls", "rows", "parts", "states", "h_memo")
 
-    def __init__(self, pair):
+    def __init__(self, pair, controls: list[tuple[Vec3, float]]):
         self.pair = pair
+        self.controls = controls
         self.rows: dict[tuple[Vec3, ...], list] = {}
+        self.parts: dict[tuple[tuple[float, ...], float, int], tuple] = {}
         self.states: dict[tuple[Vec3, ...], State] = {}
         self.h_memo: tuple[Optional[GoalSpec], dict] = (None, {})
 
@@ -249,32 +254,35 @@ class EdgeTable:
     control that passes check_dynamics, in control-set order: the control,
     the edge cost, the end state's higher derivatives and lattice-key part,
     the end position's addends (MotionPrimitive.state_terms) and the
-    position polynomial's coefficients past the constant. Rows are built
-    from propagate and check_dynamics on the first state with those higher
-    derivatives; every result derived from a row equals, bit for bit, what
-    the primitive built at the state itself gives. Beside its entries a row
-    keeps their swaths (gridmap.swath of gridmap.swept_cells) per start
-    phase (OccupancyGrid.cell_phase), grid dims and exact_frame, so the
-    edge test is the one check_collision runs. Lattices whose position
-    step and cell size are commensurate have few phases; others get one
-    per state, bounded with the states by MAX_SHARED_STATES.
+    position polynomial's coefficients past the constant. An entry is
+    assembled from three one-axis parts (_part), one per control
+    component, shared by every row: a row of 27 controls needs at most 9.
+    A part runs the primitive's own arithmetic on one axis, and
+    check_dynamics tests each axis alone, so every result derived from a
+    row equals, bit for bit, what the primitive built at the state itself
+    gives. Beside its entries a row keeps their
+    swaths (gridmap.swath of gridmap.swept_cells) per start phase
+    (OccupancyGrid.cell_phase), grid dims and exact_frame, so the edge
+    test is the one check_collision runs. Lattices whose position step
+    and cell size are commensurate have few phases; others get one per
+    state, bounded with the states by MAX_SHARED_STATES.
 
-    Beyond the config, a row depends only on the grid resolution (swept
-    cells) and the origin's higher derivatives (key part), so the rows
+    Beyond the config, rows and parts depend only on the grid resolution
+    (swept cells) and the origin's higher derivatives (key part), so they
     are kept on the config for that pair and taken over by the next table
     made with the same pair; another pair starts a fresh set, and so does
     a holder with more than MAX_SHARED_STATES states. The grid's cells and
     the origin's position are read per table, never stored in a row. A
-    table keeps the row and state dicts it started with, so plans that run
-    at once on one config stay correct; they may only build a row twice.
+    table keeps the dicts it started with, so plans that run at once on
+    one config stay correct; they may only build a row or part twice.
     """
 
     def __init__(self, cfg: PlannerConfig, grid: OccupancyGrid, origin: State):
         self._cfg = cfg
         self._grid = grid
         self._origin = origin
-        self._pos_res = lattice_resolutions(cfg.order, cfg.control_set.d_u,
-                                            cfg.tau)[0]
+        self._res = lattice_resolutions(cfg.order, cfg.control_set.d_u,
+                                        cfg.tau)
         self._blocked = grid.blocked_mask(cfg.unknown_is_free)
         # What a swath depends on beyond its row entry and start phase.
         self._frame = (grid.dims, grid.exact_frame)
@@ -282,27 +290,50 @@ class EdgeTable:
         shared = cfg._edge_rows
         if (shared is None or shared.pair != pair
                 or len(shared.states) > MAX_SHARED_STATES):
-            shared = _SharedRows(pair)
+            prims = (propagate(origin, u, cfg.tau, cfg.rho)
+                     for u in cfg.control_set.controls)
+            shared = _SharedRows(pair, [(p.u, p.cost) for p in prims])
             object.__setattr__(cfg, "_edge_rows", shared)
+        self._controls = shared.controls
         self._rows = shared.rows
+        self._parts = shared.parts
         # One State per float state, for plan to hand out on every arrival.
         self._states = shared.states
 
+    def _part(self, higher: tuple[float, ...], u: float, ax: int) -> tuple:
+        """(within bounds, end higher derivatives, their lattice-key part,
+        end position addends, position coefficients past the constant) of
+        axis ax with higher derivatives higher under control component u."""
+        key = (higher, u, ax)
+        part = self._parts.get(key)
+        if part is None:
+            tau = self._cfg.tau
+            # The axis rides in x; no axis's arithmetic reads another's.
+            x0 = State(tuple((c, 0.0, 0.0) for c in (0.0, *higher)))
+            prim = MotionPrimitive(x0, (u, 0.0, 0.0), tau, 0.0)
+            poly = prim.axis_polys[0]
+            terms = [row[0] for row in prim.state_terms(tau)]
+            end = tuple(fold_terms(c, t) for c, t in zip(higher, terms[1:]))
+            key_part = tuple(round((e - o[ax]) / r) for e, o, r in zip(
+                end, self._origin.derivs[1:], self._res[1:]))
+            part = (within_bounds((poly,), tau, self._cfg.bounds), end,
+                    key_part, terms[0], poly.coeffs[1:])
+            self._parts[key] = part
+        return part
+
     def _build_row(self, s: State) -> tuple[list, dict]:
-        cfg = self._cfg
-        d_u, tau = cfg.control_set.d_u, cfg.tau
+        higher = s.derivs[1:]
+        hx, hy, hz = (tuple(d[ax] for d in higher) for ax in range(3))
+        part = self._part
         entries = []
-        for u in cfg.control_set.controls:
-            prim = propagate(s, u, tau, cfg.rho)
-            if not check_dynamics(prim, cfg.bounds):
-                continue
-            terms = prim.state_terms(tau)
-            end = fold_state(s, terms)
-            key = lattice_key(end, d_u, tau, self._origin)
-            entries.append((prim.u, prim.cost, end.derivs[1:], key[1:],
-                            terms[0], primitive_tails(prim)))
+        for u, cost in self._controls:
+            px, py, pz = part(hx, u[0], 0), part(hy, u[1], 1), part(hz, u[2], 2)
+            if px[0] and py[0] and pz[0]:
+                entries.append((u, cost, tuple(zip(px[1], py[1], pz[1])),
+                                tuple(zip(px[2], py[2], pz[2])),
+                                (px[3], py[3], pz[3]), (px[4], py[4], pz[4])))
         row = (entries, {})
-        self._rows[s.derivs[1:]] = row
+        self._rows[higher] = row
         return row
 
     def successors(self, s: State) -> list[Edge]:
@@ -327,7 +358,7 @@ class EdgeTable:
         blocked = self._blocked
         px, py, pz = p
         ox, oy, oz = self._origin.pos
-        res = self._pos_res
+        res = self._res[0]
         out = []
         # check_collision's test, inlined: calling a function per edge
         # costs about a tenth of a corpus query.

@@ -12,11 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kinoplan.cli import UsageError, _parse_floats, _parse_state
-from kinoplan.gridmap import OccupancyGrid, dumps_grid, loads_grid, swept_cells
-from kinoplan.lattice import propagate
+from kinoplan.gridmap import (DynBounds, OccupancyGrid, check_collision,
+                              check_dynamics, dumps_grid, loads_grid,
+                              primitive_tails, random_grid, swept_cells)
+from kinoplan.lattice import (fold_state, lattice_key, make_control_set,
+                              propagate)
 from kinoplan.lti import State
 from kinoplan.polyalg import Poly1
 from kinoplan.refine import RefineSpec, SplineTrajectory, refine
+from kinoplan.search import EdgeTable, PlannerConfig
 from kinoplan.trajio import dumps_segments, loads_segments, write_segments
 
 deterministic = settings(max_examples=100, deadline=None, database=None,
@@ -196,6 +200,64 @@ def refined_segment_on_grid(draw):
           1.108645863288092, (0.0, 9.0, 0.0), 0.5661101236008391))
 def test_swept_cells_hold_every_sampled_cell_of_refined_segments(case):
     assert_swath_holds_samples(*case)
+
+
+# -------------------------------------------------------------- edge rows
+
+
+@st.composite
+def edge_table_case(draw, order, dims):
+    """(config, grid, origin, states): any of the three bounds, and
+    off-lattice higher derivatives, the origin's nonzero, on a map with
+    obstacles."""
+    tau = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.2, 1.5)))
+    bound = st.one_of(st.none(), st.floats(0.3, 3.0))
+    cfg = PlannerConfig(
+        order=order, tau=tau, rho=draw(st.floats(0.0, 2.0)),
+        control_set=make_control_set(draw(st.floats(0.25, 2.0)),
+                                     draw(st.integers(1, 2)), dims),
+        bounds=DynBounds(v_max=draw(bound), a_max=draw(bound),
+                         j_max=draw(bound)),
+        goal_pos_tol=0.5)
+    grid = random_grid((8, 8, 8), 0.5, 0.15, seed=draw(st.integers(0, 99)))
+
+    def state():
+        num = st.floats(-2.0, 2.0)
+        pos = tuple(draw(st.floats(0.0, 4.0)) for _ in range(3))
+        return State((pos, *(tuple(draw(num) for _ in range(3))
+                             for _ in range(order - 1))))
+
+    origin = state()
+    return cfg, grid, origin, [state() for _ in range(4)]
+
+
+@pytest.mark.parametrize("order,dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_edge_rows_equal_the_primitive_built_at_the_state(order, dims, data):
+    """Each row entry and each edge, assembled from one-axis parts, equals
+    by float == what the primitive built at the state itself gives."""
+    cfg, grid, origin, states = data.draw(edge_table_case(order, dims))
+    d_u, tau = cfg.control_set.d_u, cfg.tau
+    table = EdgeTable(cfg, grid, origin)
+    for k, s in enumerate(states):
+        want_row, want_edges = [], []
+        for u in cfg.control_set.controls:
+            prim = propagate(s, u, tau, cfg.rho)
+            if not check_dynamics(prim, cfg.bounds):
+                continue
+            terms = prim.state_terms(tau)
+            end = fold_state(s, terms)
+            key = lattice_key(end, d_u, tau, origin)
+            want_row.append((prim.u, prim.cost, end.derivs[1:], key[1:],
+                             terms[0], primitive_tails(prim)))
+            if check_collision(prim, grid):
+                want_edges.append((prim.u, prim.cost, end, key))
+        assert table.successors(s) == want_edges
+        assert table._rows[s.derivs[1:]][0] == want_row
+        if k == 0:
+            # One part per axis and control component.
+            assert len(table._parts) <= 3 * (2 * cfg.control_set.mu + 1)
 
 
 # --------------------------------------------------------------- segments

@@ -295,10 +295,11 @@ def mixed_grid(dims, seed):
 
 
 def lattice_cfg(order=2, tau=1.0, rho=1.0, u_max=1.0, mu=1, dims=2,
-                v_max=2.0, a_max=None, unknown_is_free=False):
+                v_max=2.0, a_max=None, j_max=None, unknown_is_free=False):
     return PlannerConfig(order=order, tau=tau, rho=rho,
                          control_set=make_control_set(u_max, mu, dims),
-                         bounds=DynBounds(v_max=v_max, a_max=a_max),
+                         bounds=DynBounds(v_max=v_max, a_max=a_max,
+                                          j_max=j_max),
                          goal_pos_tol=0.5, unknown_is_free=unknown_is_free)
 
 
@@ -310,6 +311,10 @@ EDGE_CASES = {
                        random_grid((12, 12, 12), 0.5, 0.2, seed=5)),
     "order3_amax": (lattice_cfg(order=3, tau=0.5, v_max=2.0, a_max=1.0),
                     random_grid((20, 20, 1), 0.5, 0.2, seed=6)),
+    # The jerk bound equals u_max: the inclusive test keeps every control.
+    "order3_3d_amax_jmax": (lattice_cfg(order=3, tau=0.5, dims=3, v_max=2.0,
+                                        a_max=1.0, j_max=1.0),
+                            random_grid((12, 12, 12), 0.5, 0.2, seed=8)),
     "unknown_occupied": (lattice_cfg(), mixed_grid((20, 20, 1), 7)),
     "unknown_free": (lattice_cfg(unknown_is_free=True),
                      mixed_grid((20, 20, 1), 7)),
@@ -487,6 +492,34 @@ def test_shared_rows_stay_bounded():
         counts.append(len(cfg._edge_rows.rows))
     assert counts[-1] < expanded / 20
     assert counts[-1] - counts[59] <= counts[59] // 4
+
+
+def test_parts_start_afresh_with_the_rows(monkeypatch):
+    """The one-axis parts are kept and dropped with the rows: kept for the
+    same pair, dropped on another grid resolution or start higher
+    derivatives, or past MAX_SHARED_STATES states."""
+    cfg = cfg_2d(Heuristic.LQMT, goal_tol=0.5, rest=True)
+    grid, start, goal = corpus_case(3)
+    plan(start, goal, cfg, grid)
+    shared = cfg._edge_rows
+    assert shared.rows and shared.parts
+    EdgeTable(cfg, grid, start)
+    assert cfg._edge_rows is shared
+    finer = dataclasses.replace(grid, resolution=0.25)
+    moving = State.of(start.pos, (0.5, 0.0, 0.0))
+    for table_grid, origin in ((finer, start), (grid, moving)):
+        EdgeTable(cfg, table_grid, origin)
+        fresh = cfg._edge_rows
+        assert fresh is not shared and not fresh.parts and not fresh.rows
+        shared = fresh
+    plan(start, goal, cfg, grid)
+    full = cfg._edge_rows
+    assert full.parts and len(full.states) > 1
+    monkeypatch.setattr(search_module, "MAX_SHARED_STATES",
+                        len(full.states) - 1)
+    EdgeTable(cfg, grid, start)
+    assert cfg._edge_rows is not full
+    assert not cfg._edge_rows.parts and not cfg._edge_rows.rows
 
 
 def test_get_successors_leaves_the_config_rows_alone(monkeypatch):
