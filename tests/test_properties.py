@@ -1,4 +1,5 @@
-"""Property tests of the text formats and the CLI's number parsing.
+"""Property tests of the text formats, swept cells, edge-table rows and
+the CLI's number parsing.
 
 Examples are drawn deterministically (derandomize) and no example database
 is written, so a run is reproducible and leaves no files behind.
